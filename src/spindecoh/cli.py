@@ -53,7 +53,8 @@ class _UsageError(Exception):
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        # float() first: the repr of a numpy scalar reads np.float64(...).
+        return repr(float(value))
     return str(value)
 
 
@@ -96,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, help="output directory override")
         p.add_argument(
             "--threads", type=int,
-            default=int(os.environ.get("SPINDECOH_THREADS", "1")),
             help="worker threads for ensembles (default $SPINDECOH_THREADS or 1)",
         )
         p.add_argument("--n", type=int, help="particle count override")
@@ -114,6 +114,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--times", type=int, default=20,
                            help="number of random check times")
     return parser
+
+
+def _threads(args) -> int:
+    """--threads, else $SPINDECOH_THREADS, else 1; a positive integer."""
+    raw = os.environ.get("SPINDECOH_THREADS", "1") if args.threads is None else args.threads
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigValidationError(
+            f"SPINDECOH_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigValidationError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 def _load_config(args) -> RunConfig:
@@ -323,6 +336,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        args.threads = _threads(args)
         cfg = _load_config(args)
         return _COMMANDS[args.subcommand](cfg, args)
     except (ConfigParseError, ConfigValidationError, ValueError, OSError) as exc:

@@ -8,9 +8,10 @@ parse_config(render_config(cfg)) == cfg.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
-from .model import AMPLITUDE_MODES, COUPLING_MODES, SystemConfig
+from .model import SystemConfig
 
 
 class ConfigParseError(ValueError):
@@ -105,6 +106,12 @@ _PARSERS = {
 
 def validate(cfg: RunConfig) -> RunConfig:
     """Check cross-field constraints; returns the config unchanged."""
+    for name in ("rho", "eta", "epsilon", "dt", "tmax", "t1", "t2"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigValidationError(f"{name} must be finite, got {getattr(cfg, name)}")
+    for name in ("fit_window", "rho_list"):
+        if not all(math.isfinite(v) for v in getattr(cfg, name) or ()):
+            raise ConfigValidationError(f"{name} entries must be finite, got {getattr(cfg, name)}")
     try:
         cfg.system_config()
     except ValueError as exc:
@@ -184,7 +191,3 @@ def config_hash(cfg: RunConfig) -> str:
     canonical = replace(cfg, out="out")
     return hashlib.sha256(render_config(canonical).encode()).hexdigest()[:16]
 
-
-# Mode names re-exported for CLI help text.
-KNOWN_AMPLITUDE_MODES = AMPLITUDE_MODES
-KNOWN_COUPLING_MODES = COUPLING_MODES

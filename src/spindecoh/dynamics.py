@@ -4,10 +4,18 @@ Under the pairwise sigma_z x sigma_z Hamiltonian each single-particle
 reduced density matrix keeps its diagonal and its off-diagonal element
 evolves as
 
-    z_l(t) = a_l b_l* prod_{k != l} (|a_k|^2 e^{-2i g_lk t} + |b_k|^2 e^{+2i g_lk t}).
+    z_l(t) = a_l b_l* prod_{k != l} (p_k e^{-2i g_lk t} + q_k e^{+2i g_lk t}),
 
-Everything here (system coherence Xi(t), subsystem variants, entropies,
-trajectory sampling) is built on that product.
+with p_k = |a_k|^2 and q_k = |b_k|^2. Everything here (system coherence
+Xi(t), subsystem variants, entropies, trajectory sampling) is built on
+that product.
+
+`coherence_magnitudes` evaluates |factor|^2 = (p - q)^2 + 4 p q cos^2(2 g t)
+and sums log factors, so no partial product underflows. On a uniform grid
+of T times, cos(A + B_j) = cos A cos B_j - sin A sin B_j takes one trig pair
+per block start A and one per offset B_j of blocks of K ~ sqrt(T) samples:
+about 4 sqrt(T) trig calls per pair instead of T, with no drift. Other
+times use the same loop with K = 1.
 """
 
 from __future__ import annotations
@@ -15,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import entr
 
 from .model import SpinSystem
-
-LN2 = float(np.log(2.0))
 
 # Radicand of the eigenvalue square root may leave [0, 1] by round-off; this
 # much is silently clamped, anything worse is a hard error.
@@ -27,8 +34,9 @@ EIGENVALUE_CLAMP = 1e-12
 # Upper bound on n_samples * N for trajectory sampling.
 DEFAULT_MAX_ELEMENTS = 50_000_000
 
-# Target element count per vectorized time chunk (memory/speed trade-off).
-_CHUNK_ELEMENTS = 4_000_000
+# Elements in one kernel temporary (time blocks x offsets x rows x N);
+# 64K float64 values keep a block's working set inside L2.
+_BLOCK_ELEMENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -51,59 +59,68 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
 
-def _is_equal_superposition(system: SpinSystem) -> bool:
-    return bool(
-        np.all(np.abs(np.abs(system.amp_a) ** 2 - 0.5) < 1e-15)
-        and np.all(np.abs(np.abs(system.amp_b) ** 2 - 0.5) < 1e-15)
-    )
-
-
 def coherence(system: SpinSystem, particle: int, t: float) -> complex:
     """Off-diagonal element z_l(t) of particle `particle` (0-based)."""
     n = system.n_particles
     if not 0 <= particle < n:
         raise IndexError(f"particle index {particle} out of range [0, {n})")
     a, b = system.amp_a, system.amp_b
-    g = system.couplings[particle]
-    phase = np.exp(-2j * g * t)
+    phase = np.exp(-2j * system.couplings[particle] * t)
     factors = np.abs(a) ** 2 * phase + np.abs(b) ** 2 * np.conj(phase)
     factors[particle] = 1.0
     return complex(a[particle] * np.conj(b[particle]) * np.prod(factors))
 
 
+def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, offsets) with times[b*K + j] = starts[b] + offsets[j] up to
+    rounding: K = ceil(sqrt(T)) on a uniform grid (padded at the end), else 1."""
+    if times.size > 1:
+        step = times[1] - times[0]
+        deviation = np.abs(times - (times[0] + step * np.arange(times.size)))
+        if np.all(deviation <= 4.0 * np.finfo(float).eps * np.abs(times).max()):
+            k = int(np.ceil(np.sqrt(times.size)))
+            return times[::k], step * np.arange(k)
+    return times, np.zeros(1)
+
+
 def coherence_magnitudes(system: SpinSystem, times: np.ndarray) -> np.ndarray:
     """|z_l(t)| for all particles at each time; shape (len(times), N).
-
-    Vectorized over time in chunks. Equal superpositions use the real
-    closed form |z_l| = 0.5 * prod |cos(2 g_lk t)|.
-    """
+    Particles run in row blocks so each temporary holds ~_BLOCK_ELEMENTS."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n = system.n_particles
-    g = system.couplings
-    ab_mod = np.abs(system.amp_a * np.conj(system.amp_b))
-    out = np.empty((times.size, n))
-    chunk = max(1, _CHUNK_ELEMENTS // (n * n))
-    equal = _is_equal_superposition(system)
-    if not equal:
-        pa = (np.abs(system.amp_a) ** 2)[None, None, :]
-        pb = (np.abs(system.amp_b) ** 2)[None, None, :]
-    diag = np.arange(n)
-    for start in range(0, times.size, chunk):
-        tc = times[start:start + chunk]
-        ang = 2.0 * tc[:, None, None] * g[None, :, :]
-        if equal:
-            factors = np.abs(np.cos(ang))
-        else:
-            ph = np.exp(-1j * ang)
-            factors = np.abs(pa * ph + pb * np.conj(ph))
-        factors[:, diag, diag] = 1.0
-        out[start:start + chunk] = ab_mod[None, :] * factors.prod(axis=2)
-    return out
+    starts, offsets = _split_grid(times)
+    k = offsets.size
+    p, q = np.abs(system.amp_a) ** 2, np.abs(system.amp_b) ** 2
+    p, q = p / (p + q), q / (p + q)
+    scale = 2.0 * np.sqrt(p * q)  # |factor|^2 = (scale cos)^2 + floor
+    floor = (p - q) ** 2
+    rows = max(1, min(n, _BLOCK_ELEMENTS // (k * n)))
+    per_chunk = max(1, _BLOCK_ELEMENTS // (k * rows * n))
+    log_sq = np.empty((starts.size, k, n))
+    with np.errstate(divide="ignore"):  # an exact zero factor gives log 0 = -inf
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            g2 = 2.0 * system.couplings[r0:r1]
+            off = np.arange(r0, r1)[:, None] != np.arange(n)  # the k = l factor is 1
+            s = np.where(off, scale, 0.0)
+            f = np.where(off, floor, 1.0)
+            ang = offsets[:, None, None] * g2
+            cos_b = np.cos(ang) * s
+            sin_b = np.sin(ang) * s
+            for b0 in range(0, starts.size, per_chunk):
+                ang = starts[b0:b0 + per_chunk, None, None, None] * g2
+                x = np.cos(ang) * cos_b
+                x -= np.sin(ang) * sin_b
+                x *= x
+                x += f
+                log_sq[b0:b0 + per_chunk, :, r0:r1] = np.log(x, out=x).sum(axis=-1)
+    log_z = 0.5 * log_sq.reshape(-1, n)[:times.size]
+    return np.abs(system.amp_a * np.conj(system.amp_b)) * np.exp(log_z)
 
 
 def xi(system: SpinSystem, t: float) -> float:
     """Whole-system decoherence function Xi(t) = (1/N) sum_l |z_l(t)|."""
-    return float(coherence_magnitudes(system, np.array([t]))[0].mean())
+    return float(coherence_magnitudes(system, [t])[0].mean())
 
 
 def xi_subset(system: SpinSystem, subset, t: float) -> float:
@@ -113,8 +130,7 @@ def xi_subset(system: SpinSystem, subset, t: float) -> float:
         raise ValueError("subset must be non-empty")
     if subset.min() < 0 or subset.max() >= system.n_particles:
         raise IndexError("subset contains out-of-range particle indices")
-    mags = coherence_magnitudes(system, np.array([t]))[0]
-    return float(mags[subset].mean())
+    return float(coherence_magnitudes(system, [t])[0][subset].mean())
 
 
 def y_complement(system: SpinSystem, t: float) -> float:
@@ -123,42 +139,32 @@ def y_complement(system: SpinSystem, t: float) -> float:
     return ceiling - xi(system, t)
 
 
+def _half_gap(pq, z_abs) -> np.ndarray:
+    """Half the eigenvalue gap 0.5 sqrt(1 - 4 (|a|^2 |b|^2 - |z|^2)) of the
+    2x2 reduced density matrix; broadcasts over leading axes of z_abs."""
+    radicand = 1.0 - 4.0 * (pq - np.asarray(z_abs, dtype=float) ** 2)
+    if np.any((radicand < -EIGENVALUE_CLAMP) | (radicand > 1.0 + EIGENVALUE_CLAMP)):
+        raise ValueError("eigenvalue radicand outside [0, 1] beyond round-off")
+    return 0.5 * np.sqrt(np.clip(radicand, 0.0, 1.0))
+
+
 def eigenvalue_pair(a: complex, b: complex, z: complex) -> tuple[float, float]:
     """Eigenvalues (lam+, lam-) of the 2x2 reduced density matrix
     [[|a|^2, z], [z*, |b|^2]]."""
-    radicand = 1.0 - 4.0 * (abs(a) ** 2 * abs(b) ** 2 - abs(z) ** 2)
-    if radicand < -EIGENVALUE_CLAMP or radicand > 1.0 + EIGENVALUE_CLAMP:
-        raise ValueError(f"eigenvalue radicand {radicand} outside [0, 1]")
-    radicand = min(max(radicand, 0.0), 1.0)
-    root = 0.5 * np.sqrt(radicand)
+    root = float(_half_gap(abs(a) ** 2 * abs(b) ** 2, abs(z)))
     return 0.5 + root, 0.5 - root
 
 
-def _qubit_entropies(pq: np.ndarray, z_abs: np.ndarray) -> np.ndarray:
-    """Single-qubit entropies (nats) from |a|^2|b|^2 products and |z|;
-    broadcasts over leading axes."""
-    radicand = 1.0 - 4.0 * (pq - z_abs**2)
-    bad = (radicand < -EIGENVALUE_CLAMP) | (radicand > 1.0 + EIGENVALUE_CLAMP)
-    if np.any(bad):
-        raise ValueError("eigenvalue radicand outside [0, 1] beyond round-off")
-    root = 0.5 * np.sqrt(np.clip(radicand, 0.0, 1.0))
-    lam = np.stack([0.5 + root, 0.5 - root], axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(lam > 0.0, -lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
-    return terms.sum(axis=-1)
-
-
 def particle_entropies(system: SpinSystem, z_abs: np.ndarray) -> np.ndarray:
-    """Per-particle entropies (nats) from precomputed |z_l| values."""
-    pq = np.abs(system.amp_a) ** 2 * np.abs(system.amp_b) ** 2
-    return _qubit_entropies(pq, np.asarray(z_abs, dtype=float))
+    """Per-particle entropies (nats) from precomputed |z_l| values;
+    broadcasts over leading axes of z_abs."""
+    root = _half_gap(np.abs(system.amp_a) ** 2 * np.abs(system.amp_b) ** 2, z_abs)
+    return entr(0.5 + root) + entr(0.5 - root)
 
 
 def entropy_total(system: SpinSystem, t: float) -> float:
     """Total subsystem entropy S_tot(t) = sum_l S(rho_l) in nats."""
-    z_abs = coherence_magnitudes(system, np.array([t]))[0]
-    pq = np.abs(system.amp_a) ** 2 * np.abs(system.amp_b) ** 2
-    return float(_qubit_entropies(pq, z_abs).sum())
+    return float(particle_entropies(system, coherence_magnitudes(system, [t])[0]).sum())
 
 
 def sample_trajectory(
@@ -181,13 +187,5 @@ def sample_trajectory(
         )
     times = dt * np.arange(n_samples)
     z_abs = coherence_magnitudes(system, times)
-    entropy = None
-    if include_entropy:
-        pq = np.abs(system.amp_a) ** 2 * np.abs(system.amp_b) ** 2
-        entropy = _qubit_entropies(pq[None, :], z_abs).sum(axis=1)
-    return Trajectory(
-        times=times,
-        xi=z_abs.mean(axis=1),
-        coherences=z_abs if include_coherences else None,
-        entropy=entropy,
-    )
+    entropy = particle_entropies(system, z_abs).sum(axis=1) if include_entropy else None
+    return Trajectory(times, z_abs.mean(axis=1), z_abs if include_coherences else None, entropy)

@@ -359,7 +359,13 @@ def fit_decoherence_law(sweep: list[EnsembleStats]) -> ScalingFit:
     resid_var = float(sol.fun @ sol.fun) / dof
     try:
         cov = resid_var * np.linalg.inv(sol.jac.T @ sol.jac)
-        p_err, q_err, r_err = (float(np.sqrt(cov[i, i])) for i in range(3))
+        # An ill-conditioned inverse can leave a diagonal entry negative
+        # (3 N points for 3 parameters); that stderr is undefined.
+        var = np.diag(cov)
+        p_err, q_err, r_err = (
+            float(np.sqrt(v)) if np.isfinite(v) and v > 0.0 else float("nan")
+            for v in var
+        )
     except np.linalg.LinAlgError:
         p_err = q_err = r_err = float("nan")
 

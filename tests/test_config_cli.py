@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -181,3 +184,69 @@ class TestCli:
         assert (out / "scaling.txt").exists()
         _, _, sweep_rows = read_output(out / "scaling_sweep.csv")
         assert len(sweep_rows) == 5  # 3 N-cells + 2 extra rho-cells
+
+    def test_fit_scaling_degenerate_stderr(self, tmp_path, capsys):
+        # With 3 N points for 3 parameters these seeds leave negative
+        # diagonal entries in the covariance; their stderrs are NaN and no
+        # warning is raised.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 8\nn_list = 4, 8, 16\nrho_list = 0.5, 1, 2\nu = 4\n")
+        for seed in ("9", "14"):
+            out = tmp_path / seed
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["fit-scaling", "--config", str(cfg), "--seed", seed,
+                             "--out", str(out)]) == 0
+            _, cols, rows = read_output(out / "scaling.csv")
+            for col, value in zip(cols, rows[0]):
+                if col.endswith("_stderr"):
+                    assert math.isnan(float(value)) or float(value) > 0.0
+
+    def test_csv_fields_are_plain_numbers(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 8\nn_list = 4, 8, 16\nrho_list = 0.5, 1, 2\nu = 4\n"
+                       "tmax = 5.0\nt1 = 2.0\nt2 = 5.0\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--with-z", "--with-entropy"]) == 0
+        assert main(["oracle-check", "--n", "6", "--seed", "5", "--times", "5",
+                     "--out", str(out)]) == 0
+        assert main(["fit-scaling", "--config", str(cfg), "--out", str(out)]) == 0
+        paths = sorted(out.glob("*.csv"))
+        assert [p.name for p in paths] == ["oracle_check.csv", "scaling.csv",
+                                           "scaling_sweep.csv", "trajectory.csv"]
+        for path in paths:
+            _, _, rows = read_output(path)
+            for field in (f for row in rows for f in row):
+                try:
+                    int(field)
+                except ValueError:
+                    float(field)
+
+
+class TestCliInputErrors:
+    def assert_one_line_error(self, capsys, argv, code=2):
+        assert main(argv) == code
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err, err
+        return err
+
+    def test_threads_env_not_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPINDECOH_THREADS", "abc")
+        err = self.assert_one_line_error(capsys, ["simulate", "--out", str(tmp_path)])
+        assert "SPINDECOH_THREADS" in err
+
+    def test_negative_threads(self, tmp_path, capsys):
+        err = self.assert_one_line_error(
+            capsys, ["ensemble", "--threads", "-3", "--out", str(tmp_path)])
+        assert "threads" in err
+
+    def test_infinite_tmax(self, tmp_path, capsys):
+        err = self.assert_one_line_error(
+            capsys, ["simulate", "--tmax", "inf", "--out", str(tmp_path)])
+        assert "tmax must be finite" in err
+
+    def test_nan_dt(self, tmp_path, capsys):
+        err = self.assert_one_line_error(
+            capsys, ["simulate", "--dt", "nan", "--out", str(tmp_path)])
+        assert "dt must be finite" in err

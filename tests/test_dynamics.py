@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -274,3 +276,71 @@ class TestInvariants:
                 assert oracle.vn_entropy(rho) == pytest.approx(
                     entropies[l], abs=1e-10
                 )
+
+
+EPS = np.finfo(float).eps
+GRID = 0.05 * np.arange(2001)
+
+
+def scalar_magnitudes(system, times):
+    """|z_l(t)| from the per-particle complex product, one time at a time."""
+    return np.array([[abs(coherence(system, l, t)) for l in range(system.n_particles)]
+                     for t in times])
+
+
+class TestKernel:
+    @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
+    @pytest.mark.parametrize("n", [10, 50, 200])
+    def test_grid_matches_scalar_path(self, n, mode):
+        s = random_system(n, seed=n + 1, amplitude_mode=mode)
+        mags = coherence_magnitudes(s, GRID)
+        every = slice(None, None, 40)
+        np.testing.assert_allclose(mags[every], scalar_magnitudes(s, GRID[every]),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_strong_coupling_within_time_conditioning(self, n, dim):
+        # Couplings up to ~100 put 2 g t near 2e4 rad, where one ulp of t
+        # moves |z_l| by more than 1e-13. Any two evaluations may then differ
+        # by |a_l b_l| * 2 t sum_k |g_lk| times a few eps, and no more.
+        for seed in range(4):
+            s = random_system(n, seed=seed, dim=dim, amplitude_mode="random-complex")
+            ceiling = np.abs(s.amp_a * np.conj(s.amp_b))
+            cond = ceiling[None, :] * 2 * GRID[:, None] * np.abs(s.couplings).sum(axis=1)
+            diff = np.abs(coherence_magnitudes(s, GRID) - scalar_magnitudes(s, GRID))
+            assert np.all(diff <= 1e-14 + 4 * EPS * cond)
+
+    @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
+    def test_grid_matches_single_times(self, mode):
+        s = random_system(50, seed=5, amplitude_mode=mode)
+        mags = coherence_magnitudes(s, GRID)
+        for i in range(0, GRID.size, 97):
+            np.testing.assert_allclose(mags[i], coherence_magnitudes(s, [GRID[i]])[0],
+                                       rtol=0, atol=1e-13)
+
+    def test_bounds_and_time_reversal(self):
+        s = random_system(50, seed=6, amplitude_mode="random-complex")
+        ceiling = np.abs(s.amp_a * np.conj(s.amp_b))
+        mags = coherence_magnitudes(s, GRID)
+        assert np.all(mags >= 0.0)
+        assert np.all(mags <= ceiling * (1 + 1e-12))
+        np.testing.assert_allclose(coherence_magnitudes(s, -GRID), mags, rtol=0, atol=1e-15)
+
+    def test_near_zero_factor(self):
+        s = random_system(2, seed=3)
+        t = np.pi / (4 * s.couplings[0, 1])
+        ceiling = np.abs(s.amp_a * np.conj(s.amp_b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mags = coherence_magnitudes(s, [t])[0]
+        assert np.all(mags <= 1e-15 * ceiling)
+
+    def test_large_n_no_nan_or_warning(self):
+        s = random_system(2000, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mags = coherence_magnitudes(s, [50.0, 75.0, 100.0])
+        assert mags.shape == (3, 2000)
+        assert np.all(np.isfinite(mags))
+        assert np.all((mags >= 0.0) & (mags <= 0.5 + 1e-12))

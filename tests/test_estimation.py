@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,16 @@ class TestScalingLaw:
         assert fit.b == pytest.approx(0.02, rel=1e-6)
         assert fit.f == pytest.approx(0.03, rel=1e-6)
         assert fit.g == pytest.approx(0.015, rel=1e-6)
+
+    def test_undefined_stderr_is_nan(self, monkeypatch):
+        # A covariance diagonal entry that is not positive and finite has no
+        # square root: its stderr is NaN, and no warning is raised.
+        monkeypatch.setattr(np.linalg, "inv", lambda m: np.diag([-1.0, np.inf, 4.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_decoherence_law(self.synthetic_sweep())
+        assert np.isnan(fit.p_stderr) and np.isnan(fit.q_stderr)
+        assert np.isnan(fit.r_stderr) or fit.r_stderr > 0.0
 
     def test_insufficient_grid(self):
         sweep = [_fake_stats(n, 1.0, 0.1) for n in (10, 20, 50)]
