@@ -27,7 +27,12 @@ from .config import (
     parse_config,
     validate,
 )
-from .dynamics import coherence_magnitudes, particle_entropies, sample_trajectory
+from .dynamics import (
+    RadicandError,
+    coherence_magnitudes,
+    particle_entropies,
+    sample_trajectory,
+)
 from .estimation import fit_decoherence_law, run_ensemble
 from .model import build_system, derive_seed
 from .oracle import DEFAULT_PARTICLE_CAP, evolve, reduce_particle, vn_entropy
@@ -339,12 +344,13 @@ def main(argv=None) -> int:
         args.threads = _threads(args)
         cfg = _load_config(args)
         return _COMMANDS[args.subcommand](cfg, args)
+    # RadicandError is a ValueError, so numerical failures are caught first.
+    except (RadicandError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigParseError, ConfigValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -39,6 +39,10 @@ DEFAULT_MAX_ELEMENTS = 50_000_000
 _BLOCK_ELEMENTS = 65_536
 
 
+class RadicandError(ValueError):
+    """Eigenvalue radicand outside [0, 1] beyond round-off (a numerical failure)."""
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled time series of the decoherence function.
@@ -144,7 +148,7 @@ def _half_gap(pq, z_abs) -> np.ndarray:
     2x2 reduced density matrix; broadcasts over leading axes of z_abs."""
     radicand = 1.0 - 4.0 * (pq - np.asarray(z_abs, dtype=float) ** 2)
     if np.any((radicand < -EIGENVALUE_CLAMP) | (radicand > 1.0 + EIGENVALUE_CLAMP)):
-        raise ValueError("eigenvalue radicand outside [0, 1] beyond round-off")
+        raise RadicandError("eigenvalue radicand outside [0, 1] beyond round-off")
     return 0.5 * np.sqrt(np.clip(radicand, 0.0, 1.0))
 
 

@@ -264,23 +264,15 @@ def run_ensemble(
     """
     if u < 1:
         raise ValueError(f"ensemble size must be >= 1, got {u}")
-    args = (cell,)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(
-                pool.map(
-                    lambda i: _single_run(*args, i, master_seed, dt, t_max, t1, t2, fit_window),
-                    range(u),
-                )
-            )
-    else:
-        runs = [
-            _single_run(*args, i, master_seed, dt, t_max, t1, t2, fit_window)
-            for i in range(u)
-        ]
-    n_bad = sum(1 for rec in runs if not rec.converged)
-    if n_bad > MAX_NONCONVERGED_FRACTION * u:
-        raise RuntimeError(f"{n_bad}/{u} ensemble fits failed to converge")
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        runs = list(pool.map(
+            lambda i: _single_run(cell, i, master_seed, dt, t_max, t1, t2, fit_window),
+            range(u),
+        ))
+    bad = [rec for rec in runs if not rec.converged]
+    if len(bad) > MAX_NONCONVERGED_FRACTION * u:
+        members = ", ".join(f"run {rec.index} (seed {rec.seed})" for rec in bad)
+        raise RuntimeError(f"{len(bad)}/{u} ensemble fits failed to converge: {members}")
     taus = np.array([rec.tau for rec in runs])
     avgs = np.array([rec.xi_avg for rec in runs])
     return EnsembleStats(
@@ -355,12 +347,13 @@ def fit_decoherence_law(sweep: list[EnsembleStats]) -> ScalingFit:
     if not sol.success:
         raise RuntimeError(f"stage-2 scaling fit failed: {sol.message}")
     p, q, r = (float(v) for v in sol.x)
-    dof = max(n_vals.size - 3, 1)
-    resid_var = float(sol.fun @ sol.fun) / dof
+    # A stderr is undefined (NaN) without a residual degree of freedom (3 N
+    # points for 3 parameters) or where an ill-conditioned inverse leaves
+    # its diagonal entry negative.
+    dof = n_vals.size - 3
+    resid_var = float(sol.fun @ sol.fun) / dof if dof > 0 else float("nan")
     try:
         cov = resid_var * np.linalg.inv(sol.jac.T @ sol.jac)
-        # An ill-conditioned inverse can leave a diagonal entry negative
-        # (3 N points for 3 parameters); that stderr is undefined.
         var = np.diag(cov)
         p_err, q_err, r_err = (
             float(np.sqrt(v)) if np.isfinite(v) and v > 0.0 else float("nan")

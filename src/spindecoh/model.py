@@ -4,6 +4,10 @@ Builds the static ingredients of a run: N spin-1/2 particles placed
 uniformly at random in a D-dimensional box, a symmetric coupling matrix
 derived from an eta / r**epsilon potential (or drawn uniformly at random),
 and per-particle superposition amplitudes (a_k, b_k).
+
+Pairwise data lives in condensed form (one value per pair i < j, the order
+of `scipy.spatial.distance.pdist`): placement tests separations on it, and
+both coupling modes expand it with `squareform`.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 AMPLITUDE_MODES = ("equal-superposition", "random-complex")
 COUPLING_MODES = ("potential", "uniform-random")
@@ -22,7 +27,7 @@ MAX_PLACEMENT_ATTEMPTS = 1000
 
 
 class PlacementError(RuntimeError):
-    """Could not place a particle after the maximum number of resamples."""
+    """Placement kept no new candidate in MAX_PLACEMENT_ATTEMPTS rounds."""
 
 
 class SingularCouplingError(ValueError):
@@ -120,39 +125,35 @@ def box_side(n_particles: int, density: float, dimension: int) -> float:
 
 def place_particles(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw N positions uniformly in the box, resampling any particle that
-    lands closer than MIN_SEPARATION_FACTOR * l to an earlier one."""
+    lands closer than MIN_SEPARATION_FACTOR * l to an earlier one. Rounds
+    draw one candidate per missing particle and keep them in draw order, so
+    positions and generator state match drawing one at a time."""
     n, d = config.n_particles, config.dimension
     side = box_side(n, config.density, d)
     min_sep = MIN_SEPARATION_FACTOR * side
-    positions = np.empty((n, d))
-    for i in range(n):
-        for _ in range(MAX_PLACEMENT_ATTEMPTS):
-            candidate = rng.random(d) * side
-            if i == 0:
-                break
-            dist = np.linalg.norm(positions[:i] - candidate, axis=1)
-            if dist.min() >= min_sep:
-                break
-        else:
-            raise PlacementError(
-                f"could not place particle {i} after {MAX_PLACEMENT_ATTEMPTS} attempts"
-            )
-        positions[i] = candidate
+    positions = np.empty((0, d))
+    stalled = 0
+    while len(positions) < n:
+        points = np.vstack([positions, rng.random((n - len(positions), d)) * side])
+        close = squareform(pdist(points) < min_sep)
+        keep = np.ones(len(points), dtype=bool)
+        # Kept positions are mutually separated, so only candidates show up.
+        for j in np.flatnonzero(np.tril(close).any(axis=1)):
+            keep[j] = not (close[j, :j] & keep[:j]).any()
+        stalled = stalled + 1 if keep.sum() == len(positions) else 0
+        if stalled == MAX_PLACEMENT_ATTEMPTS:
+            raise PlacementError(f"no particle placed in {MAX_PLACEMENT_ATTEMPTS} rounds")
+        positions = points[keep]
     return positions
 
 
 def build_couplings(positions: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
     """Coupling matrix g_ij = eta / |r_i - r_j|**epsilon (symmetric, zero
     diagonal)."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
-    n = r.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if n > 1 and r[off].min() == 0.0:
+    r = pdist(positions)
+    if r.size and r.min() == 0.0:
         raise SingularCouplingError("coincident particles give an infinite coupling")
-    g = np.zeros_like(r)
-    g[off] = eta / r[off] ** epsilon
-    return g
+    return squareform(eta / r**epsilon)
 
 
 def _draw_amplitudes(config: SystemConfig, rng: np.random.Generator):
@@ -178,10 +179,7 @@ def build_system(config: SystemConfig) -> SpinSystem:
         couplings = build_couplings(positions, config.eta, config.epsilon)
     else:
         n = config.n_particles
-        couplings = np.zeros((n, n))
-        iu = np.triu_indices(n, k=1)
-        couplings[iu] = rng.random(len(iu[0]))
-        couplings += couplings.T
+        couplings = squareform(rng.random(n * (n - 1) // 2))
     a, b = _draw_amplitudes(config, rng)
     return SpinSystem(
         positions=positions,

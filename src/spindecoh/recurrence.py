@@ -45,14 +45,10 @@ class RecurrenceStats:
 def particle_frequency(system: SpinSystem, particle: int) -> float:
     """Characteristic frequency of one particle: twice the minimum gap
     between its couplings to two distinct other particles."""
-    n = system.n_particles
-    if n < 3:
-        raise ValueError(f"need N >= 3 for coupling gaps, got N={n}")
-    if not 0 <= particle < n:
-        raise IndexError(f"particle index {particle} out of range [0, {n})")
-    g = np.delete(system.couplings[particle], particle)
-    gaps = np.diff(np.sort(g))
-    freq = 2.0 * float(gaps.min())
+    freqs = _all_frequencies(system)
+    if not 0 <= particle < freqs.size:
+        raise IndexError(f"particle index {particle} out of range [0, {freqs.size})")
+    freq = float(freqs[particle])
     if freq == 0.0:
         raise ValueError(f"particle {particle} has degenerate (equal) couplings")
     return freq
@@ -61,6 +57,8 @@ def particle_frequency(system: SpinSystem, particle: int) -> float:
 def _all_frequencies(system: SpinSystem) -> np.ndarray:
     g = system.couplings
     n = g.shape[0]
+    if n < 3:
+        raise ValueError(f"need N >= 3 for coupling gaps, got N={n}")
     # Sort each row excluding the diagonal zero, then take adjacent gaps.
     off = np.sort(g[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
     return 2.0 * np.diff(off, axis=1).min(axis=1)
@@ -72,8 +70,6 @@ def recurrence_time(system: SpinSystem) -> RecurrenceEstimate:
     Degenerate systems (any zero frequency gap, possible with tied
     uniform-random couplings) get an infinite sentinel instead of an error.
     """
-    if system.n_particles < 3:
-        raise ValueError(f"need N >= 3, got N={system.n_particles}")
     freqs = _all_frequencies(system)
     order = np.argsort(freqs)
     gaps = np.diff(freqs[order])

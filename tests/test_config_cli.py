@@ -246,6 +246,17 @@ class TestCliInputErrors:
             capsys, ["simulate", "--tmax", "inf", "--out", str(tmp_path)])
         assert "tmax must be finite" in err
 
+    def test_radicand_failure_is_numerical(self, tmp_path, capsys, monkeypatch):
+        # |z| = 0.6 exceeds |a b| = 0.5, so the eigenvalue radicand leaves
+        # [0, 1]: a numerical failure (exit 3), not a validation error.
+        monkeypatch.setattr(
+            "spindecoh.dynamics.coherence_magnitudes",
+            lambda system, times: np.full((len(times), system.n_particles), 0.6))
+        assert main(["simulate", "--with-entropy", "--n", "4", "--tmax", "100",
+                     "--dt", "1", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical failure:") and "\n" not in err, err
+
     def test_nan_dt(self, tmp_path, capsys):
         err = self.assert_one_line_error(
             capsys, ["simulate", "--dt", "nan", "--out", str(tmp_path)])

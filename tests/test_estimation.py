@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from spindecoh import estimation
 from spindecoh.dynamics import Trajectory, sample_trajectory
 from spindecoh.estimation import (
+    DecayFit,
     EnsembleStats,
     InsufficientGridError,
     WindowError,
@@ -18,7 +20,7 @@ from spindecoh.estimation import (
     saturation_size,
     time_average,
 )
-from spindecoh.model import SystemConfig, build_system
+from spindecoh.model import SystemConfig, build_system, derive_seed
 
 
 def synthetic_trajectory(tau, c, dt=0.05, n=2001, noise=0.0, seed=0):
@@ -112,6 +114,26 @@ class TestRunEnsemble:
         assert stats.tau_std > 0.0
         assert stats.xi_std > 0.0
 
+    def test_nonconvergence_names_members(self, monkeypatch):
+        # One worker runs the members in index order, so the call count is
+        # the member index.
+        calls = []
+
+        def fake_fit(traj, fit_window=None):
+            calls.append(None)
+            return DecayFit(tau=1.0, c=0.1, ssr=0.0, n_iterations=200,
+                            converged=len(calls) - 1 not in (1, 3))
+
+        monkeypatch.setattr(estimation, "fit_decay", fake_fit)
+        with pytest.raises(RuntimeError) as exc:
+            run_ensemble(self.CELL, 5, master_seed=9, t_max=10.0, t1=5.0, t2=10.0)
+        msg = str(exc.value)
+        assert msg.startswith("2/5 ensemble fits failed to converge")
+        for i in (1, 3):
+            assert f"run {i} (seed {derive_seed(9, i)})" in msg
+        for i in (0, 2, 4):
+            assert f"run {i} " not in msg
+
     def test_rejects_bad_u(self):
         with pytest.raises(ValueError):
             run_ensemble(self.CELL, 0, master_seed=1)
@@ -184,6 +206,18 @@ class TestScalingLaw:
         assert fit.b == pytest.approx(0.02, rel=1e-6)
         assert fit.f == pytest.approx(0.03, rel=1e-6)
         assert fit.g == pytest.approx(0.015, rel=1e-6)
+
+    def test_stderr_needs_residual_dof(self):
+        # Three N points fix (P, Q, R) exactly: no degree of freedom is left
+        # for the residual variance, so the stderrs are NaN. Five keep them.
+        five = fit_decoherence_law(self.synthetic_sweep())
+        assert np.all(np.isfinite([five.p_stderr, five.q_stderr, five.r_stderr]))
+        three = [s for s in self.synthetic_sweep() if s.config.n_particles in (10, 50, 200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_decoherence_law(three)
+        assert np.isnan(fit.p_stderr) and np.isnan(fit.q_stderr) and np.isnan(fit.r_stderr)
+        assert np.isfinite(fit.s_stderr)
 
     def test_undefined_stderr_is_nan(self, monkeypatch):
         # A covariance diagonal entry that is not positive and finite has no

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from spindecoh import model
 from spindecoh.model import (
+    PlacementError,
     SpinSystem,
     SystemConfig,
     box_side,
@@ -13,6 +15,31 @@ from spindecoh.model import (
     make_rng,
     place_particles,
 )
+
+
+def _sequential_placement(config, rng):
+    """Reference placement: one candidate at a time, each retried until it
+    is far enough from every particle placed before it."""
+    n, d = config.n_particles, config.dimension
+    side = box_side(n, config.density, d)
+    min_sep = model.MIN_SEPARATION_FACTOR * side
+    positions = np.empty((n, d))
+    for i in range(n):
+        while True:
+            candidate = rng.random(d) * side
+            if i == 0 or np.linalg.norm(positions[:i] - candidate, axis=1).min() >= min_sep:
+                break
+        positions[i] = candidate
+    return positions
+
+
+def _broadcast_couplings(positions, eta, epsilon):
+    """Reference couplings from the full N x N x D difference tensor."""
+    r = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
+    off = ~np.eye(len(positions), dtype=bool)
+    g = np.zeros_like(r)
+    g[off] = eta / r[off] ** epsilon
+    return g
 
 
 def make_custom_system(couplings, amp_a=None, amp_b=None):
@@ -78,6 +105,28 @@ class TestPlacement:
         p2 = place_particles(cfg, make_rng(cfg.rng_seed))
         assert np.array_equal(p1, p2)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_resamples_match_sequential_draws(self, monkeypatch, seed):
+        # A separation of 1e-3 of the side leaves about 40 close pairs among
+        # 200 particles on a line, so several candidates are resampled.
+        monkeypatch.setattr(model, "MIN_SEPARATION_FACTOR", 1e-3)
+        cfg = SystemConfig(n_particles=200, dimension=1, rng_seed=seed)
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        pos = place_particles(cfg, rng)
+        assert np.array_equal(pos, _sequential_placement(cfg, ref_rng))
+        assert rng.random() == ref_rng.random()
+        first_draws = make_rng(seed).random((200, 1)) * box_side(200, 1.0, 1)
+        assert not np.array_equal(pos, first_draws)
+
+    def test_stall_raises(self, monkeypatch):
+        # A separation of twice the side exceeds the box diagonal in D <= 3,
+        # so no second particle can ever be placed.
+        monkeypatch.setattr(model, "MIN_SEPARATION_FACTOR", 2.0)
+        monkeypatch.setattr(model, "MAX_PLACEMENT_ATTEMPTS", 5)
+        cfg = SystemConfig(n_particles=4, dimension=3, rng_seed=6)
+        with pytest.raises(PlacementError):
+            place_particles(cfg, make_rng(cfg.rng_seed))
+
 
 class TestCouplings:
     def test_inverse_distance(self):
@@ -97,6 +146,13 @@ class TestCouplings:
         assert g[0, 1] == pytest.approx(1.0)
         assert g[0, 2] == pytest.approx(1.0 / 3.0)
         assert g[1, 2] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_broadcast_formula(self, d):
+        pos = make_rng(d).random((60, d)) * 4.0
+        for epsilon in (1.0, 2.5):
+            assert np.array_equal(build_couplings(pos, 1.7, epsilon),
+                                  _broadcast_couplings(pos, 1.7, epsilon))
 
     def test_coincident_particles_rejected(self):
         pos = np.array([[1.0], [1.0]])
@@ -137,6 +193,17 @@ class TestBuildSystem:
         assert np.all((g[iu] >= 0.0) & (g[iu] < 1.0))
         assert np.array_equal(g, g.T)
         assert np.all(np.diag(g) == 0.0)
+
+    def test_uniform_random_matches_upper_triangle_fill(self):
+        cfg = SystemConfig(n_particles=30, dimension=2, coupling_mode="uniform-random",
+                           rng_seed=17)
+        rng = make_rng(cfg.rng_seed)
+        place_particles(cfg, rng)
+        ref = np.zeros((30, 30))
+        iu = np.triu_indices(30, k=1)
+        ref[iu] = rng.random(iu[0].size)
+        ref += ref.T
+        assert np.array_equal(build_system(cfg).couplings, ref)
 
     def test_bit_identical_rebuild(self):
         cfg = SystemConfig(

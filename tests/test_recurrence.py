@@ -44,6 +44,20 @@ class TestParticleFrequency:
         for l in range(12):
             assert particle_frequency(s, l) > 0.0
 
+    def test_matches_row_formula_and_recurrence_frequencies(self):
+        s = build_system(SystemConfig(n_particles=30, dimension=2, rng_seed=11))
+        freqs = recurrence_time(s).frequencies
+        for l in range(30):
+            row = np.delete(s.couplings[l], l)
+            assert particle_frequency(s, l) == 2.0 * np.diff(np.sort(row)).min()
+            assert particle_frequency(s, l) == freqs[l]
+
+    def test_index_out_of_range(self):
+        s = build_system(SystemConfig(n_particles=5, rng_seed=2))
+        for l in (-1, 5):
+            with pytest.raises(IndexError):
+                particle_frequency(s, l)
+
     def test_needs_three_particles(self):
         s = build_system(SystemConfig(n_particles=2, rng_seed=1))
         with pytest.raises(ValueError):
