@@ -25,17 +25,13 @@ from .config import (
     RunConfig,
     config_hash,
     parse_config,
+    require_average_window,
     validate,
 )
-from .dynamics import (
-    RadicandError,
-    coherence_magnitudes,
-    particle_entropies,
-    sample_trajectory,
-)
+from .dynamics import RadicandError, sample_trajectory
 from .estimation import fit_decoherence_law, run_ensemble
 from .model import build_system, derive_seed
-from .oracle import DEFAULT_PARTICLE_CAP, evolve, reduce_particle, vn_entropy
+from .oracle import compare
 from .recurrence import recurrence_stats
 
 EXIT_OK = 0
@@ -181,6 +177,7 @@ _STATS_COLUMNS = ["n", "d", "rho", "eta", "epsilon", "u",
 
 
 def cmd_ensemble(cfg: RunConfig, args) -> int:
+    require_average_window(cfg)
     stats = run_ensemble(
         cfg.system_config(), cfg.u, cfg.seed, dt=cfg.dt, t_max=cfg.tmax,
         t1=cfg.t1, t2=cfg.t2, fit_window=cfg.fit_window, threads=args.threads,
@@ -188,9 +185,10 @@ def cmd_ensemble(cfg: RunConfig, args) -> int:
     out = Path(cfg.out)
     write_csv(
         out / "ensemble_runs.csv", _meta(cfg),
-        ["run", "seed", "tau", "c", "ssr", "converged", "xi_avg"],
-        ([r.index, r.seed, r.tau, r.c, r.ssr, int(r.converged), r.xi_avg]
-         for r in stats.runs),
+        ["run", "seed", "tau", "c", "ssr", "converged", "xi_avg",
+         "n_iterations", "fit_lo", "fit_hi"],
+        ([r.index, r.seed, r.tau, r.c, r.ssr, int(r.converged), r.xi_avg,
+          r.n_iterations, r.fit_lo, r.fit_hi] for r in stats.runs),
     )
     write_csv(out / "ensemble_stats.csv", _meta(cfg), _STATS_COLUMNS,
               [_stats_row(stats)])
@@ -211,6 +209,7 @@ def _sweep_cells(cfg: RunConfig):
 
 
 def _run_sweep(cfg: RunConfig, cells, threads: int):
+    require_average_window(cfg)
     results = []
     for index, cell in enumerate(cells):
         stats = run_ensemble(
@@ -289,34 +288,19 @@ def cmd_recurrence(cfg: RunConfig, args) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig, args) -> int:
-    if cfg.n > DEFAULT_PARTICLE_CAP:
-        raise ConfigValidationError(
-            f"oracle-check needs n <= {DEFAULT_PARTICLE_CAP}, got {cfg.n}"
-        )
+    if args.times < 1:
+        raise ConfigValidationError(f"--times must be >= 1, got {args.times}")
     system = build_system(cfg.system_config())
     rng = np.random.Generator(np.random.Philox(key=derive_seed(cfg.seed, 777)))
     times = rng.random(args.times) * cfg.tmax
-    rows = []
-    worst = 0.0
-    for t in times:
-        z_abs = coherence_magnitudes(system, np.array([t]))[0]
-        s_analytic = particle_entropies(system, z_abs)
-        state = evolve(system, float(t))
-        dz = 0.0
-        ds = 0.0
-        for l in range(system.n_particles):
-            rho_l = reduce_particle(state, l)
-            dz = max(dz, abs(abs(rho_l[0, 1]) - z_abs[l]))
-            ds = max(ds, abs(vn_entropy(rho_l) - s_analytic[l]))
-        norm_dev = abs(np.linalg.norm(state) - 1.0)
-        rows.append([float(t), dz, ds, norm_dev])
-        worst = max(worst, dz, ds)
+    max_dz, max_ds, norm_dev = compare(system, times)
+    worst = float(max(max_dz.max(), max_ds.max()))
     passed = worst < ORACLE_CHECK_TOL
     write_csv(
         Path(cfg.out) / "oracle_check.csv",
         _meta(cfg, result="PASS" if passed else "FAIL", tolerance=ORACLE_CHECK_TOL),
         ["t", "max_dz", "max_ds", "norm_dev"],
-        rows,
+        zip(times.tolist(), max_dz.tolist(), max_ds.tolist(), norm_dev.tolist()),
     )
     print(f"oracle-check: {'PASS' if passed else 'FAIL'} "
           f"(max deviation {worst:.3e}, tolerance {ORACLE_CHECK_TOL:.0e})")

@@ -122,8 +122,6 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigValidationError(f"tmax must be positive, got {cfg.tmax}")
     if not cfg.t1 < cfg.t2:
         raise ConfigValidationError(f"t1 < t2 required, got t1={cfg.t1}, t2={cfg.t2}")
-    if cfg.t2 > cfg.tmax:
-        raise ConfigValidationError(f"t2 <= tmax required, got t2={cfg.t2}, tmax={cfg.tmax}")
     if cfg.u < 1:
         raise ConfigValidationError(f"u must be >= 1, got {cfg.u}")
     if cfg.fit_window is not None and not cfg.fit_window[0] < cfg.fit_window[1]:
@@ -138,6 +136,16 @@ def validate(cfg: RunConfig) -> RunConfig:
         if d not in (1, 2, 3):
             raise ConfigValidationError(f"d_list entries must be 1, 2 or 3, got {d}")
     return cfg
+
+
+def require_average_window(cfg: RunConfig) -> None:
+    """The time-average window [t1, t2] must lie inside the trajectory span.
+
+    Only the commands that time-average Xi (ensemble, sweep, fit-scaling)
+    need this; the others never read t1 or t2.
+    """
+    if cfg.t2 > cfg.tmax:
+        raise ConfigValidationError(f"t2 <= tmax required, got t2={cfg.t2}, tmax={cfg.tmax}")
 
 
 def parse_config(text: str) -> RunConfig:

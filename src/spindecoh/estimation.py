@@ -50,18 +50,22 @@ class InsufficientGridError(ValueError):
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Result of fitting xi_fit(t) = (0.5 - c) exp(-t/tau) + c to one run."""
+    """Result of fitting xi_fit(t) = (0.5 - c) exp(-t/tau) + c to one run
+    over the window [fit_lo, fit_hi], clipped to the trajectory span."""
 
     tau: float
     c: float
     ssr: float
     n_iterations: int
     converged: bool
+    fit_lo: float
+    fit_hi: float
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Per-run outcome inside an ensemble."""
+    """Per-run outcome inside an ensemble, with the fit diagnostics:
+    iterations taken and the fit window [fit_lo, fit_hi] actually used."""
 
     index: int
     seed: int
@@ -70,6 +74,9 @@ class RunRecord:
     ssr: float
     converged: bool
     xi_avg: float
+    n_iterations: int
+    fit_lo: float
+    fit_hi: float
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,8 @@ def fit_decay(
     # A stalled step at an exact optimum still counts as converged.
     if not converged and ssr < 1e-18:
         converged = True
-    return DecayFit(tau=tau, c=c, ssr=ssr, n_iterations=iterations, converged=converged)
+    return DecayFit(tau=tau, c=c, ssr=ssr, n_iterations=iterations, converged=converged,
+                    fit_lo=float(lo), fit_hi=float(hi))
 
 
 def _single_run(
@@ -242,7 +250,8 @@ def _single_run(
     avg = time_average(traj, t1, t2)
     return RunRecord(
         index=index, seed=seed, tau=fit.tau, c=fit.c, ssr=fit.ssr,
-        converged=fit.converged, xi_avg=avg,
+        converged=fit.converged, xi_avg=avg, n_iterations=fit.n_iterations,
+        fit_lo=fit.fit_lo, fit_hi=fit.fit_hi,
     )
 
 

@@ -55,9 +55,17 @@ class TestParseConfig:
         with pytest.raises(ConfigValidationError, match="t1 < t2"):
             parse_config("t1 = 90\nt2 = 80\n")
 
-    def test_t2_within_span(self):
-        with pytest.raises(ConfigValidationError):
-            parse_config("tmax = 60\n")  # default t2=100 > tmax
+    def test_t2_within_span(self, tmp_path, capsys):
+        # The default t2 = 100 lies past tmax = 60: only commands that
+        # time-average reject it, and they do so before any run.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tmax = 60\n")
+        parse_config(cfg.read_text())
+        assert main(["ensemble", "--config", str(cfg), "--n", "4", "--u", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: t2 <= tmax required") and "\n" not in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_system_constraints_propagate(self):
         with pytest.raises(ConfigValidationError):
@@ -124,8 +132,12 @@ class TestCli:
                    "--out", str(out)])
         assert rc == 0
         _, cols, rows = read_output(out / "ensemble_runs.csv")
-        assert cols == ["run", "seed", "tau", "c", "ssr", "converged", "xi_avg"]
+        assert cols == ["run", "seed", "tau", "c", "ssr", "converged", "xi_avg",
+                        "n_iterations", "fit_lo", "fit_hi"]
         assert len(rows) == 4
+        for row in rows:
+            assert int(row[7]) >= 1
+            assert 0.0 == float(row[8]) < float(row[9]) <= 100.0
         _, cols, rows = read_output(out / "ensemble_stats.csv")
         assert len(rows) == 1
 
@@ -165,6 +177,21 @@ class TestCli:
         assert meta["result"] == "PASS"
         assert len(rows) == 5
         assert "PASS" in capsys.readouterr().out
+
+    def test_simulate_ignores_average_window(self, tmp_path):
+        # t1 = 50 and t2 = 100 lie past tmax = 1, but simulate never reads them.
+        out = tmp_path / "sim"
+        assert main(["simulate", "--n", "4", "--tmax", "1", "--out", str(out)]) == 0
+        _, _, rows = read_output(out / "trajectory.csv")
+        assert len(rows) == round(1 / 0.05) + 1
+
+    @pytest.mark.parametrize("times", ["0", "-2"])
+    def test_oracle_check_rejects_too_few_times(self, tmp_path, capsys, times):
+        assert main(["oracle-check", "--n", "4", "--times", times,
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "--times" in err and "\n" not in err, err
+        assert not (tmp_path / "oracle_check.csv").exists()
 
     def test_oracle_check_rejects_large_n(self, tmp_path, capsys):
         assert main(["oracle-check", "--n", "20", "--out", str(tmp_path)]) == 2

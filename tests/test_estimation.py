@@ -79,6 +79,18 @@ class TestFitDecay:
         fit = fit_decay(synthetic_trajectory(1.0, 0.2), fit_window=(0.0, 10.0))
         assert fit.tau == pytest.approx(1.0, rel=1e-6)
 
+    def test_window_used_is_reported(self):
+        traj = synthetic_trajectory(1.0, 0.2)
+        fit = fit_decay(traj, fit_window=(0.0, 10.0))
+        assert (fit.fit_lo, fit.fit_hi) == (0.0, 10.0)
+        assert fit.n_iterations >= 1
+        # A window past the end is clipped to the trajectory span.
+        fit = fit_decay(traj, fit_window=(5.0, 500.0))
+        assert (fit.fit_lo, fit.fit_hi) == (5.0, 100.0)
+        # The auto window ends at min(20 tau0, 50); tau0 is near 1 here.
+        fit = fit_decay(traj)
+        assert fit.fit_lo == 0.0 and 15.0 < fit.fit_hi < 25.0
+
     def test_degenerate_window(self):
         with pytest.raises(WindowError):
             fit_decay(synthetic_trajectory(1.0, 0.1), fit_window=(40.0, 40.05))
@@ -98,6 +110,13 @@ class TestRunEnsemble:
         assert stats.tau_mean == stats.runs[0].tau
         assert np.isnan(stats.tau_std)
         assert np.isnan(stats.xi_std)
+
+    def test_records_fit_diagnostics(self):
+        stats = run_ensemble(self.CELL, 3, master_seed=4, t_max=20.0, t1=10.0, t2=20.0,
+                             fit_window=(0.0, 50.0))
+        for rec in stats.runs:
+            assert rec.n_iterations >= 1
+            assert (rec.fit_lo, rec.fit_hi) == (0.0, 20.0)
 
     def test_deterministic(self):
         s1 = run_ensemble(self.CELL, 5, master_seed=9)
@@ -122,7 +141,8 @@ class TestRunEnsemble:
         def fake_fit(traj, fit_window=None):
             calls.append(None)
             return DecayFit(tau=1.0, c=0.1, ssr=0.0, n_iterations=200,
-                            converged=len(calls) - 1 not in (1, 3))
+                            converged=len(calls) - 1 not in (1, 3),
+                            fit_lo=0.0, fit_hi=10.0)
 
         monkeypatch.setattr(estimation, "fit_decay", fake_fit)
         with pytest.raises(RuntimeError) as exc:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from spindecoh.dynamics import entropy_total
+from spindecoh import oracle
+from spindecoh.dynamics import coherence_magnitudes, entropy_total, particle_entropies
 from spindecoh.model import SystemConfig, build_system
 from spindecoh.oracle import (
     ParticleCapError,
     PurityError,
+    compare,
     evolve,
     mutual_information,
     reduce_particle,
@@ -15,11 +17,40 @@ from spindecoh.oracle import (
 from test_model import make_custom_system
 
 
-def random_system(n, seed, amplitude_mode="equal-superposition"):
+def random_system(n, seed, amplitude_mode="equal-superposition", coupling_mode="potential"):
     return build_system(SystemConfig(
         n_particles=n, dimension=3, density=1.0,
-        amplitude_mode=amplitude_mode, rng_seed=seed,
+        amplitude_mode=amplitude_mode, coupling_mode=coupling_mode, rng_seed=seed,
     ))
+
+
+def einsum_energies(system):
+    """Basis energies 0.5 s^T G s by the three-operand einsum."""
+    signs = oracle._spin_signs(system.n_particles)
+    return 0.5 * np.einsum("si,ij,sj->s", signs, system.couplings, signs)
+
+
+def per_time_loop(system, times):
+    """Reference comparison: one state, one partial trace and one
+    eigendecomposition per particle and time, all rebuilt from scratch."""
+    n = system.n_particles
+    signs = oracle._spin_signs(n)
+    psi0 = np.where(signs > 0, system.amp_a, system.amp_b).prod(axis=1)
+    z_abs = coherence_magnitudes(system, times)
+    rows = []
+    for k, t in enumerate(times):
+        state = psi0 * np.exp(-1j * einsum_energies(system) * t)
+        s_analytic = particle_entropies(system, z_abs[k])
+        dz = ds = 0.0
+        for l in range(n):
+            psi = state.reshape(2**l, 2, 2 ** (n - 1 - l))
+            rho = np.einsum("aib,ajb->ij", psi, psi.conj())
+            lam = np.linalg.eigvalsh(rho)
+            lam = lam[lam > 0.0]
+            dz = max(dz, abs(abs(rho[0, 1]) - z_abs[k, l]))
+            ds = max(ds, abs(float(-(lam * np.log(lam)).sum()) - s_analytic[l]))
+        rows.append((dz, ds, abs(np.linalg.norm(state) - 1.0)))
+    return tuple(np.array(col) for col in zip(*rows))
 
 
 class TestEvolve:
@@ -50,6 +81,18 @@ class TestEvolve:
         s = random_system(5, seed=3)
         with pytest.raises(ParticleCapError):
             evolve(s, 1.0, cap=4)
+
+    @pytest.mark.parametrize("amplitude_mode", ["equal-superposition", "random-complex"])
+    @pytest.mark.parametrize("coupling_mode", ["potential", "uniform-random"])
+    def test_matches_einsum_energies(self, amplitude_mode, coupling_mode):
+        for n in (2, 5, 10):
+            s = random_system(n, seed=20 + n, amplitude_mode=amplitude_mode,
+                              coupling_mode=coupling_mode)
+            psi0 = evolve(s, 0.0)
+            energies = einsum_energies(s)
+            for t in (0.3, 7.0, 99.0):
+                expected = psi0 * np.exp(-1j * energies * t)
+                assert np.abs(evolve(s, t) - expected).max() <= 1e-12 * (1 + t)
 
 
 class TestReduce:
@@ -150,3 +193,37 @@ class TestMutualInformation:
         bad = make_custom_system(s.couplings, amp_a=s.amp_a * 1.001, amp_b=s.amp_b)
         with pytest.raises((PurityError, ValueError)):
             mutual_information(bad, 1.0)
+
+
+class TestCompare:
+    @pytest.mark.parametrize("amplitude_mode", ["equal-superposition", "random-complex"])
+    @pytest.mark.parametrize("coupling_mode", ["potential", "uniform-random"])
+    def test_matches_per_time_loop(self, amplitude_mode, coupling_mode):
+        rng = np.random.default_rng(11)
+        for n in range(2, 11):
+            s = random_system(n, seed=30 + n, amplitude_mode=amplitude_mode,
+                              coupling_mode=coupling_mode)
+            times = rng.random(6) * 100.0
+            got = compare(s, times)
+            want = per_time_loop(s, times)
+            for g, w in zip(got, want):
+                assert g.shape == (6,)
+                assert np.abs(g - w).max() <= 1e-13
+            assert max(got[0].max(), got[1].max()) < 1e-10
+            assert got[2].max() < 1e-12
+
+    def test_cap(self):
+        s = random_system(5, seed=3)
+        with pytest.raises(ParticleCapError):
+            compare(s, [1.0], cap=4)
+
+    def test_detects_wrong_kernel(self, monkeypatch):
+        s = random_system(6, seed=12, amplitude_mode="random-complex")
+        times = np.array([0.05, 0.2, 1.0])
+        max_dz, _, _ = compare(s, times)
+        assert max_dz.max() < 1e-10
+        monkeypatch.setattr(
+            oracle, "coherence_magnitudes",
+            lambda system, t: coherence_magnitudes(system, t) * (1 + 1e-8))
+        max_dz, _, _ = compare(s, times)
+        assert max_dz.max() > 1e-10
