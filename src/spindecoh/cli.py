@@ -81,39 +81,46 @@ def _meta(cfg: RunConfig, **extra) -> dict:
     return meta
 
 
+# Each subcommand takes the common flags plus only the flags it reads.
+_FLAGS = {
+    "--config": dict(type=str, help="path to a key = value config file"),
+    "--seed": dict(type=int, help="master seed override"),
+    "--out": dict(type=str, help="output directory override"),
+    "--n": dict(type=int, help="particle count override"),
+    "--rho": dict(type=float, help="density override"),
+    "--d": dict(type=int, help="dimension override"),
+    "--u": dict(type=int, help="ensemble size override"),
+    "--tmax": dict(type=float, help="trajectory span override"),
+    "--dt": dict(type=float, help="time step override"),
+    "--threads": dict(
+        type=int, help="worker threads for ensembles (default $SPINDECOH_THREADS or 1)"),
+    "--with-z": dict(action="store_true", help="include per-particle |z_l| columns"),
+    "--with-entropy": dict(action="store_true",
+                           help="include the total subsystem entropy column"),
+    "--times": dict(type=int, default=20, help="number of random check times"),
+}
+_COMMON_FLAGS = ("--config", "--seed", "--out", "--n", "--rho", "--d")
+_AVERAGING_FLAGS = ("--u", "--tmax", "--dt", "--threads")
+_SUBCOMMANDS = {
+    "simulate": ("sample one Xi(t) trajectory",
+                 ("--tmax", "--dt", "--with-z", "--with-entropy")),
+    "ensemble": ("run U systems for one parameter cell", _AVERAGING_FLAGS),
+    "sweep": ("run ensembles over parameter grids", _AVERAGING_FLAGS),
+    "fit-scaling": ("fit the decoherence-time scaling law over a sweep",
+                    _AVERAGING_FLAGS),
+    "recurrence": ("estimate Poincare recurrence statistics", ("--u",)),
+    "oracle-check": ("compare analytic dynamics against the brute-force oracle",
+                     ("--tmax", "--times")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spindecoh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in [
-        ("simulate", "sample one Xi(t) trajectory"),
-        ("ensemble", "run U systems for one parameter cell"),
-        ("sweep", "run ensembles over parameter grids"),
-        ("fit-scaling", "fit the decoherence-time scaling law over a sweep"),
-        ("recurrence", "estimate Poincare recurrence statistics"),
-        ("oracle-check", "compare analytic dynamics against the brute-force oracle"),
-    ]:
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, help="path to a key = value config file")
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--out", type=str, help="output directory override")
-        p.add_argument(
-            "--threads", type=int,
-            help="worker threads for ensembles (default $SPINDECOH_THREADS or 1)",
-        )
-        p.add_argument("--n", type=int, help="particle count override")
-        p.add_argument("--rho", type=float, help="density override")
-        p.add_argument("--d", type=int, help="dimension override")
-        p.add_argument("--u", type=int, help="ensemble size override")
-        p.add_argument("--tmax", type=float, help="trajectory span override")
-        p.add_argument("--dt", type=float, help="time step override")
-        if name == "simulate":
-            p.add_argument("--with-z", action="store_true",
-                           help="include per-particle |z_l| columns")
-            p.add_argument("--with-entropy", action="store_true",
-                           help="include the total subsystem entropy column")
-        if name == "oracle-check":
-            p.add_argument("--times", type=int, default=20,
-                           help="number of random check times")
+        for flag in _COMMON_FLAGS + flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -130,21 +137,16 @@ def _threads(args) -> int:
     return threads
 
 
+_RUN_FIELDS = {field.name for field in dataclasses.fields(RunConfig)}
+
+
 def _load_config(args) -> RunConfig:
-    if args.config:
-        cfg = parse_config(Path(args.config).read_text())
-    else:
-        cfg = RunConfig()
-    overrides = {}
-    for field, attr in [("seed", "seed"), ("out", "out"), ("n", "n"),
-                        ("rho", "rho"), ("d", "d"), ("u", "u"),
-                        ("tmax", "tmax"), ("dt", "dt")]:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field] = value
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return validate(cfg)
+    """The config file (or the defaults) with every given flag that names
+    a RunConfig field applied on top."""
+    cfg = parse_config(Path(args.config).read_text()) if args.config else RunConfig()
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in _RUN_FIELDS and value is not None}
+    return validate(dataclasses.replace(cfg, **overrides))
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
@@ -180,7 +182,7 @@ def cmd_ensemble(cfg: RunConfig, args) -> int:
     require_average_window(cfg)
     stats = run_ensemble(
         cfg.system_config(), cfg.u, cfg.seed, dt=cfg.dt, t_max=cfg.tmax,
-        t1=cfg.t1, t2=cfg.t2, fit_window=cfg.fit_window, threads=args.threads,
+        t1=cfg.t1, t2=cfg.t2, fit_window=cfg.fit_window, threads=_threads(args),
     )
     out = Path(cfg.out)
     write_csv(
@@ -222,10 +224,7 @@ def _run_sweep(cfg: RunConfig, cells, threads: int):
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    cells = list(_sweep_cells(cfg))
-    if not cells:
-        raise ConfigValidationError("sweep grids are empty")
-    results = _run_sweep(cfg, cells, args.threads)
+    results = _run_sweep(cfg, list(_sweep_cells(cfg)), _threads(args))
     write_csv(Path(cfg.out) / "sweep.csv", _meta(cfg), _STATS_COLUMNS,
               (_stats_row(s) for s in results))
     return EXIT_OK
@@ -242,7 +241,7 @@ def cmd_fit_scaling(cfg: RunConfig, args) -> int:
         dataclasses.replace(base, density=rho)
         for rho in cfg.rho_list if rho != cfg.rho
     ]
-    results = _run_sweep(cfg, cells, args.threads)
+    results = _run_sweep(cfg, cells, _threads(args))
     fit = fit_decoherence_law(results)
     out = Path(cfg.out)
     write_csv(out / "scaling_sweep.csv", _meta(cfg), _STATS_COLUMNS,
@@ -325,7 +324,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        args.threads = _threads(args)
         cfg = _load_config(args)
         return _COMMANDS[args.subcommand](cfg, args)
     # RadicandError is a ValueError, so numerical failures are caught first.

@@ -46,7 +46,7 @@ class RunConfig:
     rho_list: tuple[float, ...] = ()
     d_list: tuple[int, ...] = ()
 
-    def system_config(self, seed: int | None = None) -> SystemConfig:
+    def system_config(self) -> SystemConfig:
         return SystemConfig(
             n_particles=self.n,
             dimension=self.d,
@@ -55,7 +55,7 @@ class RunConfig:
             epsilon=self.epsilon,
             amplitude_mode=self.amplitude_mode,
             coupling_mode=self.coupling_mode,
-            rng_seed=self.seed if seed is None else seed,
+            rng_seed=self.seed,
         )
 
     @property
@@ -105,7 +105,7 @@ _PARSERS = {
 
 
 def validate(cfg: RunConfig) -> RunConfig:
-    """Check cross-field constraints; returns the config unchanged."""
+    """Check the constraints every command needs; returns the config unchanged."""
     for name in ("rho", "eta", "epsilon", "dt", "tmax", "t1", "t2"):
         if not math.isfinite(getattr(cfg, name)):
             raise ConfigValidationError(f"{name} must be finite, got {getattr(cfg, name)}")
@@ -120,12 +120,8 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigValidationError(f"dt must be positive, got {cfg.dt}")
     if cfg.tmax <= 0:
         raise ConfigValidationError(f"tmax must be positive, got {cfg.tmax}")
-    if not cfg.t1 < cfg.t2:
-        raise ConfigValidationError(f"t1 < t2 required, got t1={cfg.t1}, t2={cfg.t2}")
     if cfg.u < 1:
         raise ConfigValidationError(f"u must be >= 1, got {cfg.u}")
-    if cfg.fit_window is not None and not cfg.fit_window[0] < cfg.fit_window[1]:
-        raise ConfigValidationError(f"fit_window lo < hi required, got {cfg.fit_window}")
     for n in cfg.n_list:
         if n < 1:
             raise ConfigValidationError(f"n_list entries must be >= 1, got {n}")
@@ -139,13 +135,18 @@ def validate(cfg: RunConfig) -> RunConfig:
 
 
 def require_average_window(cfg: RunConfig) -> None:
-    """The time-average window [t1, t2] must lie inside the trajectory span.
+    """The time-average window [t1, t2] must be ordered and lie inside the
+    trajectory span, and the fit window must be ordered.
 
-    Only the commands that time-average Xi (ensemble, sweep, fit-scaling)
-    need this; the others never read t1 or t2.
+    Only the commands that fit and time-average Xi (ensemble, sweep,
+    fit-scaling) need this; the others never read t1, t2 or fit_window.
     """
+    if not cfg.t1 < cfg.t2:
+        raise ConfigValidationError(f"t1 < t2 required, got t1={cfg.t1}, t2={cfg.t2}")
     if cfg.t2 > cfg.tmax:
         raise ConfigValidationError(f"t2 <= tmax required, got t2={cfg.t2}, tmax={cfg.tmax}")
+    if cfg.fit_window is not None and not cfg.fit_window[0] < cfg.fit_window[1]:
+        raise ConfigValidationError(f"fit_window lo < hi required, got {cfg.fit_window}")
 
 
 def parse_config(text: str) -> RunConfig:

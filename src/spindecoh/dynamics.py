@@ -32,7 +32,7 @@ from .model import SpinSystem
 EIGENVALUE_CLAMP = 1e-12
 
 # Upper bound on n_samples * N for trajectory sampling.
-DEFAULT_MAX_ELEMENTS = 50_000_000
+MAX_TRAJECTORY_ELEMENTS = 50_000_000
 
 # Elements in one kernel temporary (time blocks x offsets x rows x N);
 # 64K float64 values keep a block's working set inside L2.
@@ -177,17 +177,16 @@ def sample_trajectory(
     n_samples: int = 2001,
     include_coherences: bool = False,
     include_entropy: bool = False,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> Trajectory:
     """Sample Xi(t) on the uniform grid t_i = i * dt, i = 0..n_samples-1."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if n_samples * system.n_particles > max_elements:
+    if n_samples * system.n_particles > MAX_TRAJECTORY_ELEMENTS:
         raise ValueError(
             f"trajectory of {n_samples} samples x {system.n_particles} particles "
-            f"exceeds the element cap {max_elements}"
+            f"exceeds the element cap {MAX_TRAJECTORY_ELEMENTS}"
         )
     times = dt * np.arange(n_samples)
     z_abs = coherence_magnitudes(system, times)

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 
 from .dynamics import Trajectory, sample_trajectory
 from .model import SpinSystem, SystemConfig, build_system, derive_seed
@@ -331,11 +331,13 @@ def fit_decoherence_law(sweep: list[EnsembleStats]) -> ScalingFit:
     """
     n_grid, rho_grid = _split_grids(sweep)
 
-    rho = np.array([s.config.density for s in rho_grid])
-    tau_rho = np.array([s.tau_mean for s in rho_grid])
-    reg = stats.linregress(np.log(rho), np.log(tau_rho))
-    s_exp = float(-reg.slope)
-    s_stderr = float(reg.stderr)
+    log_rho = np.log([s.config.density for s in rho_grid])
+    log_tau = np.log([s.tau_mean for s in rho_grid])
+    slope, intercept = np.polyfit(log_rho, log_tau, 1)
+    resid = log_tau - (slope * log_rho + intercept)
+    s_exp = float(-slope)
+    s_stderr = float(np.sqrt(
+        resid @ resid / (log_rho.size - 2) / ((log_rho - log_rho.mean()) ** 2).sum()))
 
     n_vals = np.array([float(s.config.n_particles) for s in n_grid])
     eta = n_grid[0].config.eta

@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import coherence_magnitudes, particle_entropies
 from .model import SpinSystem
 
-DEFAULT_PARTICLE_CAP = 14
+PARTICLE_CAP = 14
 
 _NORM_TOL = 1e-12
 _STATE_NORM_TOL = 1e-10
@@ -42,11 +42,11 @@ def _spin_signs(n: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def _basis(system: SpinSystem, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _basis(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
     """Energies and initial amplitudes of the 2^N basis states."""
     n = system.n_particles
-    if n > cap:
-        raise ParticleCapError(f"N={n} exceeds the brute-force cap {cap}")
+    if n > PARTICLE_CAP:
+        raise ParticleCapError(f"N={n} exceeds the brute-force cap {PARTICLE_CAP}")
     signs = _spin_signs(n)
     # g_ii = 0, so the per-configuration energy is 0.5 * s^T G s.
     energies = 0.5 * ((signs @ system.couplings) * signs).sum(axis=1)
@@ -86,9 +86,9 @@ def _entropies(rhos: np.ndarray) -> np.ndarray:
     return -(lam * np.log(lam)).sum(axis=-1)
 
 
-def evolve(system: SpinSystem, t: float, cap: int = DEFAULT_PARTICLE_CAP) -> np.ndarray:
+def evolve(system: SpinSystem, t: float) -> np.ndarray:
     """Full state vector at time t, shape (2^N,) complex."""
-    return _phase(*_basis(system, cap), t)
+    return _phase(*_basis(system), t)
 
 
 def reduce_particle(state: np.ndarray, particle: int) -> np.ndarray:
@@ -108,24 +108,20 @@ def vn_entropy(rho: np.ndarray) -> float:
     return float(_entropies(rho))
 
 
-def mutual_information(
-    system: SpinSystem, t: float, cap: int = DEFAULT_PARTICLE_CAP
-) -> float:
+def mutual_information(system: SpinSystem, t: float) -> float:
     """Correlation information sum_l S(rho_l) - S(rho).
 
     The global state stays pure (S(rho) = 0); purity is asserted via the
     state norm before summing the single-particle entropies.
     """
-    state = evolve(system, t, cap=cap)
+    state = evolve(system, t)
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > _NORM_TOL:
         raise PurityError(f"global state norm {norm} deviates from 1")
     return float(_entropies(_reduce_all(state, system.n_particles)).sum())
 
 
-def compare(
-    system: SpinSystem, times, cap: int = DEFAULT_PARTICLE_CAP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def compare(system: SpinSystem, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Oracle against the closed-form dynamics at each time.
 
     Returns per-time arrays (max_dz, max_ds, norm_dev): the largest
@@ -133,7 +129,7 @@ def compare(
     the state norm from 1. A state whose norm is off by more than 1e-10
     raises ValueError, as `reduce_particle` does.
     """
-    energies, psi0 = _basis(system, cap)
+    energies, psi0 = _basis(system)
     times = np.asarray(times, dtype=float)
     z_abs = coherence_magnitudes(system, times)
     s_analytic = particle_entropies(system, z_abs)

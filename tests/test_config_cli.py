@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spindecoh
 from spindecoh.cli import main
 from spindecoh.config import (
     ConfigParseError,
@@ -51,9 +56,31 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError, match="line 1"):
             parse_config("n = many\n")
 
-    def test_window_order_validated(self):
-        with pytest.raises(ConfigValidationError, match="t1 < t2"):
-            parse_config("t1 = 90\nt2 = 80\n")
+    def test_window_order_validated(self, tmp_path, capsys):
+        # Only commands that time-average read t1 and t2, so only they
+        # reject an unordered window, and they do so before any run.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t1 = 90\nt2 = 80\n")
+        parse_config(cfg.read_text())
+        assert main(["simulate", "--config", str(cfg), "--n", "4", "--tmax", "1",
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert main(["ensemble", "--config", str(cfg), "--n", "4", "--u", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: t1 < t2 required") and "\n" not in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_fit_window_order_validated(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fit_window = 20, 10\n")
+        parse_config(cfg.read_text())
+        assert main(["simulate", "--config", str(cfg), "--n", "4", "--tmax", "1",
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert main(["sweep", "--config", str(cfg), "--n", "4", "--u", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: fit_window lo < hi required") and "\n" not in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_t2_within_span(self, tmp_path, capsys):
         # The default t2 = 100 lies past tmax = 60: only commands that
@@ -107,7 +134,7 @@ class TestCli:
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("t1 = 90\nt2 = 80\n")
+        cfg.write_text("dt = -1\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
 
     def test_missing_config_file(self, capsys):
@@ -260,7 +287,7 @@ class TestCliInputErrors:
 
     def test_threads_env_not_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SPINDECOH_THREADS", "abc")
-        err = self.assert_one_line_error(capsys, ["simulate", "--out", str(tmp_path)])
+        err = self.assert_one_line_error(capsys, ["ensemble", "--out", str(tmp_path)])
         assert "SPINDECOH_THREADS" in err
 
     def test_negative_threads(self, tmp_path, capsys):
@@ -288,3 +315,35 @@ class TestCliInputErrors:
         err = self.assert_one_line_error(
             capsys, ["simulate", "--dt", "nan", "--out", str(tmp_path)])
         assert "dt must be finite" in err
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("subcommand, flag", [
+        ("simulate", "--u"), ("simulate", "--threads"),
+        ("recurrence", "--threads"), ("recurrence", "--tmax"), ("recurrence", "--dt"),
+        ("oracle-check", "--u"), ("oracle-check", "--threads"), ("oracle-check", "--dt"),
+    ])
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, subcommand, flag):
+        assert main([subcommand, flag, "2", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: spindecoh"), err
+        assert f"unrecognized arguments: {flag} 2" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "4", "--tmax", "1"],
+        ["recurrence", "--n", "8", "--u", "2"],
+        ["oracle-check", "--n", "4", "--times", "2"],
+    ])
+    def test_threads_env_ignored_without_threads(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("SPINDECOH_THREADS", "abc")
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        src = str(Path(spindecoh.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        probe = "import sys, spindecoh.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=120, check=True)
+        assert result.stdout.strip() == "False"

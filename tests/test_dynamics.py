@@ -15,7 +15,7 @@ from spindecoh.dynamics import (
     y_complement,
 )
 from spindecoh.model import SystemConfig, build_system
-from spindecoh import oracle
+from spindecoh import dynamics, oracle
 
 from test_model import make_custom_system
 
@@ -193,10 +193,11 @@ class TestTrajectory:
         for i, t in enumerate(traj.times):
             assert traj.entropy[i] == pytest.approx(entropy_total(s, t), abs=1e-12)
 
-    def test_allocation_guard(self):
+    def test_allocation_guard(self, monkeypatch):
         s = random_system(10, seed=19)
-        with pytest.raises(ValueError):
-            sample_trajectory(s, dt=0.05, n_samples=100, max_elements=500)
+        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_ELEMENTS", 500)
+        with pytest.raises(ValueError, match="element cap 500"):
+            sample_trajectory(s, dt=0.05, n_samples=100)
 
     def test_input_validation(self):
         s = random_system(3, seed=19)

@@ -78,9 +78,9 @@ class TestEvolve:
             assert abs(np.linalg.norm(evolve(s, t)) - 1.0) < 1e-12
 
     def test_cap(self):
-        s = random_system(5, seed=3)
+        s = random_system(15, seed=3)
         with pytest.raises(ParticleCapError):
-            evolve(s, 1.0, cap=4)
+            evolve(s, 1.0)
 
     @pytest.mark.parametrize("amplitude_mode", ["equal-superposition", "random-complex"])
     @pytest.mark.parametrize("coupling_mode", ["potential", "uniform-random"])
@@ -213,9 +213,9 @@ class TestCompare:
             assert got[2].max() < 1e-12
 
     def test_cap(self):
-        s = random_system(5, seed=3)
+        s = random_system(15, seed=3)
         with pytest.raises(ParticleCapError):
-            compare(s, [1.0], cap=4)
+            compare(s, [1.0])
 
     def test_detects_wrong_kernel(self, monkeypatch):
         s = random_system(6, seed=12, amplitude_mode="random-complex")
