@@ -19,14 +19,10 @@ from .model import (
 )
 from .dynamics import (
     Trajectory,
-    coherence,
     coherence_magnitudes,
-    eigenvalue_pair,
     entropy_total,
     sample_trajectory,
     xi,
-    xi_subset,
-    y_complement,
 )
 from .estimation import (
     DecayFit,
@@ -37,13 +33,11 @@ from .estimation import (
     fit_decoherence_law,
     fit_mean_level,
     run_ensemble,
-    saturation_size,
     time_average,
 )
 from .recurrence import (
     RecurrenceEstimate,
     RecurrenceStats,
-    particle_frequency,
     recurrence_stats,
     recurrence_time,
 )
@@ -52,11 +46,10 @@ __all__ = [
     "__version__",
     "SpinSystem", "SystemConfig", "box_side", "build_couplings",
     "build_system", "derive_seed", "place_particles",
-    "Trajectory", "coherence", "coherence_magnitudes", "eigenvalue_pair",
-    "entropy_total", "sample_trajectory", "xi", "xi_subset", "y_complement",
+    "Trajectory", "coherence_magnitudes", "entropy_total",
+    "sample_trajectory", "xi",
     "DecayFit", "EnsembleStats", "ScalingFit", "decay_law", "fit_decay",
-    "fit_decoherence_law", "fit_mean_level", "run_ensemble",
-    "saturation_size", "time_average",
-    "RecurrenceEstimate", "RecurrenceStats", "particle_frequency",
-    "recurrence_stats", "recurrence_time",
+    "fit_decoherence_law", "fit_mean_level", "run_ensemble", "time_average",
+    "RecurrenceEstimate", "RecurrenceStats", "recurrence_stats",
+    "recurrence_time",
 ]

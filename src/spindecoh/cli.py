@@ -26,6 +26,7 @@ from .config import (
     config_hash,
     parse_config,
     require_average_window,
+    require_positive,
     validate,
 )
 from .dynamics import RadicandError, sample_trajectory
@@ -46,6 +47,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
+
+
+class _Subparser(_Parser):
+    """Rejects unknown arguments itself, so the error shows the usage line
+    of the subcommand, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 class _UsageError(Exception):
@@ -116,7 +128,7 @@ _SUBCOMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spindecoh", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subparser)
     for name, (help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in _COMMON_FLAGS + flags:
@@ -142,11 +154,14 @@ _RUN_FIELDS = {field.name for field in dataclasses.fields(RunConfig)}
 
 def _load_config(args) -> RunConfig:
     """The config file (or the defaults) with every given flag that names
-    a RunConfig field applied on top."""
+    a RunConfig field applied on top, range-checked where the subcommand
+    reads the key: `args` holds exactly the flags in its _SUBCOMMANDS row."""
     cfg = parse_config(Path(args.config).read_text()) if args.config else RunConfig()
     overrides = {key: value for key, value in vars(args).items()
                  if key in _RUN_FIELDS and value is not None}
-    return validate(dataclasses.replace(cfg, **overrides))
+    cfg = validate(dataclasses.replace(cfg, **overrides))
+    require_positive(cfg, vars(args))
+    return cfg
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:

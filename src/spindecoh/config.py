@@ -116,12 +116,6 @@ def validate(cfg: RunConfig) -> RunConfig:
         cfg.system_config()
     except ValueError as exc:
         raise ConfigValidationError(str(exc)) from exc
-    if cfg.dt <= 0:
-        raise ConfigValidationError(f"dt must be positive, got {cfg.dt}")
-    if cfg.tmax <= 0:
-        raise ConfigValidationError(f"tmax must be positive, got {cfg.tmax}")
-    if cfg.u < 1:
-        raise ConfigValidationError(f"u must be >= 1, got {cfg.u}")
     for n in cfg.n_list:
         if n < 1:
             raise ConfigValidationError(f"n_list entries must be >= 1, got {n}")
@@ -132,6 +126,16 @@ def validate(cfg: RunConfig) -> RunConfig:
         if d not in (1, 2, 3):
             raise ConfigValidationError(f"d_list entries must be 1, 2 or 3, got {d}")
     return cfg
+
+
+def require_positive(cfg: RunConfig, keys) -> None:
+    """dt and tmax must be positive and u at least 1, each checked only if
+    it is in `keys`: a command checks the keys it reads, not the others."""
+    for name in ("dt", "tmax"):
+        if name in keys and getattr(cfg, name) <= 0:
+            raise ConfigValidationError(f"{name} must be positive, got {getattr(cfg, name)}")
+    if "u" in keys and cfg.u < 1:
+        raise ConfigValidationError(f"u must be >= 1, got {cfg.u}")
 
 
 def require_average_window(cfg: RunConfig) -> None:

@@ -7,8 +7,7 @@ evolves as
     z_l(t) = a_l b_l* prod_{k != l} (p_k e^{-2i g_lk t} + q_k e^{+2i g_lk t}),
 
 with p_k = |a_k|^2 and q_k = |b_k|^2. Everything here (system coherence
-Xi(t), subsystem variants, entropies, trajectory sampling) is built on
-that product.
+Xi(t), entropies, trajectory sampling) is built on that product.
 
 `coherence_magnitudes` evaluates |factor|^2 = (p - q)^2 + 4 p q cos^2(2 g t)
 and sums log factors, so no partial product underflows. On a uniform grid
@@ -63,18 +62,6 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
 
-def coherence(system: SpinSystem, particle: int, t: float) -> complex:
-    """Off-diagonal element z_l(t) of particle `particle` (0-based)."""
-    n = system.n_particles
-    if not 0 <= particle < n:
-        raise IndexError(f"particle index {particle} out of range [0, {n})")
-    a, b = system.amp_a, system.amp_b
-    phase = np.exp(-2j * system.couplings[particle] * t)
-    factors = np.abs(a) ** 2 * phase + np.abs(b) ** 2 * np.conj(phase)
-    factors[particle] = 1.0
-    return complex(a[particle] * np.conj(b[particle]) * np.prod(factors))
-
-
 def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, offsets) with times[b*K + j] = starts[b] + offsets[j] up to
     rounding: K = ceil(sqrt(T)) on a uniform grid (padded at the end), else 1."""
@@ -127,42 +114,18 @@ def xi(system: SpinSystem, t: float) -> float:
     return float(coherence_magnitudes(system, [t])[0].mean())
 
 
-def xi_subset(system: SpinSystem, subset, t: float) -> float:
-    """Decoherence function of a subsystem: mean |z_l(t)| over l in subset."""
-    subset = np.asarray(sorted(set(subset)), dtype=int)
-    if subset.size == 0:
-        raise ValueError("subset must be non-empty")
-    if subset.min() < 0 or subset.max() >= system.n_particles:
-        raise IndexError("subset contains out-of-range particle indices")
-    return float(coherence_magnitudes(system, [t])[0][subset].mean())
+def particle_entropies(system: SpinSystem, z_abs: np.ndarray) -> np.ndarray:
+    """Per-particle entropies (nats) from precomputed |z_l| values;
+    broadcasts over leading axes of z_abs.
 
-
-def y_complement(system: SpinSystem, t: float) -> float:
-    """Entropy-like complement Y(t) = (1/N) sum |a_k b_k*| - Xi(t)."""
-    ceiling = float(np.abs(system.amp_a * np.conj(system.amp_b)).mean())
-    return ceiling - xi(system, t)
-
-
-def _half_gap(pq, z_abs) -> np.ndarray:
-    """Half the eigenvalue gap 0.5 sqrt(1 - 4 (|a|^2 |b|^2 - |z|^2)) of the
-    2x2 reduced density matrix; broadcasts over leading axes of z_abs."""
+    The eigenvalues of [[|a|^2, z], [z*, |b|^2]] are 0.5 +- root with
+    root = 0.5 sqrt(1 - 4 (|a|^2 |b|^2 - |z|^2)).
+    """
+    pq = np.abs(system.amp_a) ** 2 * np.abs(system.amp_b) ** 2
     radicand = 1.0 - 4.0 * (pq - np.asarray(z_abs, dtype=float) ** 2)
     if np.any((radicand < -EIGENVALUE_CLAMP) | (radicand > 1.0 + EIGENVALUE_CLAMP)):
         raise RadicandError("eigenvalue radicand outside [0, 1] beyond round-off")
-    return 0.5 * np.sqrt(np.clip(radicand, 0.0, 1.0))
-
-
-def eigenvalue_pair(a: complex, b: complex, z: complex) -> tuple[float, float]:
-    """Eigenvalues (lam+, lam-) of the 2x2 reduced density matrix
-    [[|a|^2, z], [z*, |b|^2]]."""
-    root = float(_half_gap(abs(a) ** 2 * abs(b) ** 2, abs(z)))
-    return 0.5 + root, 0.5 - root
-
-
-def particle_entropies(system: SpinSystem, z_abs: np.ndarray) -> np.ndarray:
-    """Per-particle entropies (nats) from precomputed |z_l| values;
-    broadcasts over leading axes of z_abs."""
-    root = _half_gap(np.abs(system.amp_a) ** 2 * np.abs(system.amp_b) ** 2, z_abs)
+    root = 0.5 * np.sqrt(np.clip(radicand, 0.0, 1.0))
     return entr(0.5 + root) + entr(0.5 - root)
 
 

@@ -375,10 +375,10 @@ def fit_decoherence_law(sweep: list[EnsembleStats]) -> ScalingFit:
 
     a = b = f = g = None
     xi_means = np.array([s.xi_mean for s in n_grid])
-    if np.all(xi_means > 0.0) and n_vals.size >= 3:
+    if np.all(xi_means > 0.0):
         a, b = fit_mean_level(n_vals, xi_means)
     xi_stds = np.array([s.xi_std for s in n_grid])
-    if np.all(np.isfinite(xi_stds)) and np.all(xi_stds > 0.0) and n_vals.size >= 3:
+    if np.all(np.isfinite(xi_stds)) and np.all(xi_stds > 0.0):
         f, g = fit_mean_level(n_vals, xi_stds)
 
     return ScalingFit(
@@ -386,17 +386,3 @@ def fit_decoherence_law(sweep: list[EnsembleStats]) -> ScalingFit:
         p_stderr=p_err, q_stderr=q_err, r_stderr=r_err, s_stderr=s_stderr,
         a=a, b=b, f=f, g=g,
     )
-
-
-def saturation_size(target_fraction: float, p: float, q: float, r: float) -> int:
-    """Smallest N whose finite-size term contributes at most (1 - fraction)
-    of the saturated decoherence time, i.e. P/N**Q <= (1/fraction - 1) R."""
-    if not 0.0 < target_fraction < 1.0:
-        raise ValueError(f"target_fraction must be in (0, 1), got {target_fraction}")
-    threshold = (1.0 / target_fraction - 1.0) * r
-    n = (p / threshold) ** (1.0 / q)
-    n_int = int(np.ceil(n))
-    # Guard against ceil landing exactly on the boundary with round-off.
-    while p / n_int**q > threshold:
-        n_int += 1
-    return max(n_int, 1)

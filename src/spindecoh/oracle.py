@@ -19,17 +19,12 @@ from .model import SpinSystem
 
 PARTICLE_CAP = 14
 
-_NORM_TOL = 1e-12
 _STATE_NORM_TOL = 1e-10
 _EIG_TOL = 1e-10
 
 
 class ParticleCapError(ValueError):
     """System too large for brute-force state-vector evolution."""
-
-
-class PurityError(RuntimeError):
-    """The evolved state is not pure; the evolution is broken."""
 
 
 def _spin_signs(n: int) -> np.ndarray:
@@ -71,11 +66,6 @@ def _reduce(state: np.ndarray, particle: int) -> np.ndarray:
     return psi @ psi.conj().T
 
 
-def _reduce_all(state: np.ndarray, n: int) -> np.ndarray:
-    """(n, 2, 2) stack of every particle's reduced density matrix."""
-    return np.stack([_reduce(state, l) for l in range(n)])
-
-
 def _entropies(rhos: np.ndarray) -> np.ndarray:
     """Von Neumann entropies (nats) of a stack of density matrices."""
     lam = np.linalg.eigvalsh(rhos)
@@ -108,19 +98,6 @@ def vn_entropy(rho: np.ndarray) -> float:
     return float(_entropies(rho))
 
 
-def mutual_information(system: SpinSystem, t: float) -> float:
-    """Correlation information sum_l S(rho_l) - S(rho).
-
-    The global state stays pure (S(rho) = 0); purity is asserted via the
-    state norm before summing the single-particle entropies.
-    """
-    state = evolve(system, t)
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise PurityError(f"global state norm {norm} deviates from 1")
-    return float(_entropies(_reduce_all(state, system.n_particles)).sum())
-
-
 def compare(system: SpinSystem, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Oracle against the closed-form dynamics at each time.
 
@@ -138,7 +115,7 @@ def compare(system: SpinSystem, times) -> tuple[np.ndarray, np.ndarray, np.ndarr
     for k, t in enumerate(times):
         state = _phase(energies, psi0, t)
         norm_dev[k] = _norm_deviation(state)
-        rhos = _reduce_all(state, n)
+        rhos = np.stack([_reduce(state, l) for l in range(n)])
         max_dz[k] = np.abs(np.abs(rhos[:, 0, 1]) - z_abs[k]).max()
         max_ds[k] = np.abs(_entropies(rhos) - s_analytic[k]).max()
     return max_dz, max_ds, norm_dev

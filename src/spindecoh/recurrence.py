@@ -25,7 +25,6 @@ class RecurrenceEstimate:
 
     period: float
     frequencies: np.ndarray
-    minimizing_pair: tuple[int, int]
     degenerate: bool
 
 
@@ -42,49 +41,23 @@ class RecurrenceStats:
     degenerate_fraction: float
 
 
-def particle_frequency(system: SpinSystem, particle: int) -> float:
-    """Characteristic frequency of one particle: twice the minimum gap
-    between its couplings to two distinct other particles."""
-    freqs = _all_frequencies(system)
-    if not 0 <= particle < freqs.size:
-        raise IndexError(f"particle index {particle} out of range [0, {freqs.size})")
-    freq = float(freqs[particle])
-    if freq == 0.0:
-        raise ValueError(f"particle {particle} has degenerate (equal) couplings")
-    return freq
-
-
-def _all_frequencies(system: SpinSystem) -> np.ndarray:
-    g = system.couplings
-    n = g.shape[0]
-    if n < 3:
-        raise ValueError(f"need N >= 3 for coupling gaps, got N={n}")
-    # Sort each row excluding the diagonal zero, then take adjacent gaps.
-    off = np.sort(g[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
-    return 2.0 * np.diff(off, axis=1).min(axis=1)
-
-
 def recurrence_time(system: SpinSystem) -> RecurrenceEstimate:
     """Estimate the recurrence period 2*pi / min_{i != i'} |w_i - w_i'|.
 
     Degenerate systems (any zero frequency gap, possible with tied
     uniform-random couplings) get an infinite sentinel instead of an error.
     """
-    freqs = _all_frequencies(system)
-    order = np.argsort(freqs)
-    gaps = np.diff(freqs[order])
-    k = int(np.argmin(gaps))
-    pair = (int(order[k]), int(order[k + 1]))
-    min_gap = float(gaps[k])
-    if min_gap == 0.0 or np.any(freqs == 0.0):
-        return RecurrenceEstimate(
-            period=DEGENERATE_SENTINEL, frequencies=freqs,
-            minimizing_pair=pair, degenerate=True,
-        )
-    return RecurrenceEstimate(
-        period=2.0 * np.pi / min_gap, frequencies=freqs,
-        minimizing_pair=pair, degenerate=False,
-    )
+    g = system.couplings
+    n = g.shape[0]
+    if n < 3:
+        raise ValueError(f"need N >= 3 for coupling gaps, got N={n}")
+    # Sort each row excluding the diagonal zero, then take adjacent gaps.
+    off = np.sort(g[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+    freqs = 2.0 * np.diff(off, axis=1).min(axis=1)
+    min_gap = float(np.diff(np.sort(freqs)).min())
+    degenerate = bool(min_gap == 0.0 or np.any(freqs == 0.0))
+    period = DEGENERATE_SENTINEL if degenerate else 2.0 * np.pi / min_gap
+    return RecurrenceEstimate(period=period, frequencies=freqs, degenerate=degenerate)
 
 
 def recurrence_stats(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spindecoh
+from spindecoh import dynamics, estimation, oracle, recurrence
 from spindecoh.cli import main
 from spindecoh.config import (
     ConfigParseError,
@@ -133,9 +134,12 @@ class TestCli:
         assert main(["no-such-command"]) == 1
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
+        # simulate reads dt; a zero step must not reach the sample count.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("dt = -1\n")
-        assert main(["simulate", "--config", str(cfg)]) == 2
+        cfg.write_text("dt = 0\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip() == "error: dt must be positive, got 0.0"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.cfg"]) == 2
@@ -326,9 +330,37 @@ class TestOptionTable:
     def test_unread_flag_is_usage_error(self, tmp_path, capsys, subcommand, flag):
         assert main([subcommand, flag, "2", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage: spindecoh"), err
+        assert err.startswith(f"usage: spindecoh {subcommand} [-h]"), err
         assert f"unrecognized arguments: {flag} 2" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("subcommand, line", [
+        ("simulate", "dt = 0"), ("simulate", "tmax = -1"),
+        ("ensemble", "u = 0"), ("ensemble", "dt = 0"), ("ensemble", "tmax = -1"),
+        ("sweep", "u = -2"), ("sweep", "dt = -1"), ("sweep", "tmax = 0"),
+        ("fit-scaling", "u = 0"), ("fit-scaling", "dt = 0"), ("fit-scaling", "tmax = 0"),
+        ("recurrence", "u = 0"), ("oracle-check", "tmax = 0"),
+    ])
+    def test_read_key_range_checked(self, tmp_path, capsys, subcommand, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {line.split()[0]} must be") and "\n" not in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, line", [
+        (["simulate", "--tmax", "1"], "u = 0"),
+        (["recurrence", "--u", "2"], "dt = -1"),
+        (["recurrence", "--u", "2"], "tmax = -1"),
+        (["oracle-check", "--times", "2"], "u = 0"),
+        (["oracle-check", "--times", "2"], "dt = 0"),
+    ])
+    def test_unread_key_not_range_checked(self, tmp_path, capsys, argv, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(argv + ["--config", str(cfg), "--n", "6", "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n", "4", "--tmax", "1"],
@@ -347,3 +379,24 @@ class TestOptionTable:
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, timeout=120, check=True)
         assert result.stdout.strip() == "False"
+
+
+class TestPublicSurface:
+    def test_all_names_resolve(self):
+        namespace = {}
+        exec("from spindecoh import *", namespace)
+        for name in spindecoh.__all__:
+            assert namespace[name] is getattr(spindecoh, name), name
+
+    def test_removed_names_gone(self):
+        removed = {
+            dynamics: ("coherence", "xi_subset", "y_complement", "eigenvalue_pair"),
+            estimation: ("saturation_size",),
+            recurrence: ("particle_frequency",),
+            oracle: ("mutual_information", "PurityError"),
+        }
+        for module, names in removed.items():
+            for name in names:
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
+                assert not hasattr(spindecoh, name), name
+        assert "minimizing_pair" not in recurrence.RecurrenceEstimate.__dataclass_fields__

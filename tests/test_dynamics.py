@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from spindecoh.dynamics import (
-    coherence,
+    RadicandError,
     coherence_magnitudes,
-    eigenvalue_pair,
     entropy_total,
     particle_entropies,
     sample_trajectory,
     xi,
-    xi_subset,
-    y_complement,
 )
 from spindecoh.model import SystemConfig, build_system
 from spindecoh import dynamics, oracle
@@ -27,36 +24,39 @@ def random_system(n, seed, dim=3, amplitude_mode="equal-superposition"):
     ))
 
 
+def coherence(system, particle, t):
+    """Off-diagonal element z_l(t) by the complex product over the other
+    particles: the kernel's independent scalar reference."""
+    a, b = system.amp_a, system.amp_b
+    phase = np.exp(-2j * system.couplings[particle] * t)
+    factors = np.abs(a) ** 2 * phase + np.abs(b) ** 2 * np.conj(phase)
+    factors[particle] = 1.0
+    return complex(a[particle] * np.conj(b[particle]) * np.prod(factors))
+
+
 class TestCoherence:
     def test_initial_value(self):
         s = random_system(5, seed=1, amplitude_mode="random-complex")
-        for l in range(5):
-            expected = s.amp_a[l] * np.conj(s.amp_b[l])
-            assert coherence(s, l, 0.0) == pytest.approx(expected, abs=1e-14)
+        expected = np.abs(s.amp_a * np.conj(s.amp_b))
+        np.testing.assert_allclose(coherence_magnitudes(s, [0.0])[0], expected,
+                                   rtol=0, atol=1e-14)
 
     def test_two_particle_cosine(self):
         s = random_system(2, seed=3)
         g = s.couplings[0, 1]
-        for t in (0.3, 1.7, 4.0):
-            assert abs(coherence(s, 0, t)) == pytest.approx(
-                0.5 * abs(np.cos(2 * g * t)), abs=1e-14
-            )
-        assert abs(coherence(s, 0, np.pi / (4 * g))) < 1e-13
+        times = np.array([0.3, 1.7, 4.0])
+        np.testing.assert_allclose(coherence_magnitudes(s, times)[:, 0],
+                                   0.5 * np.abs(np.cos(2 * g * times)), rtol=0, atol=1e-14)
+        assert coherence_magnitudes(s, [np.pi / (4 * g)])[0, 0] < 1e-13
 
     def test_matches_oracle_n6(self):
         s = random_system(6, seed=11)
         t = 3.7
         state = oracle.evolve(s, t)
+        mags = coherence_magnitudes(s, [t])[0]
         for l in range(6):
             rho = oracle.reduce_particle(state, l)
-            assert abs(coherence(s, l, t)) == pytest.approx(
-                abs(rho[0, 1]), abs=1e-10
-            )
-
-    def test_index_range(self):
-        s = random_system(3, seed=1)
-        with pytest.raises(IndexError):
-            coherence(s, 3, 0.0)
+            assert mags[l] == pytest.approx(abs(rho[0, 1]), abs=1e-10)
 
     def test_fast_path_matches_general(self):
         # |z_l| from the vectorized cos fast path equals the complex product.
@@ -87,64 +87,41 @@ class TestXi:
         late = [xi(s, t) for t in np.linspace(20, 60, 9)]
         assert max(late) < 0.25
 
-    def test_subset_full_equals_xi(self):
-        s = random_system(6, seed=7)
-        t = 2.2
-        assert xi_subset(s, range(6), t) == pytest.approx(xi(s, t), abs=1e-14)
-
-    def test_subset_single(self):
-        s = random_system(2, seed=8)
-        g = s.couplings[0, 1]
-        t = 1.3
-        assert xi_subset(s, [0], t) == pytest.approx(
-            0.5 * abs(np.cos(2 * g * t)), abs=1e-14
-        )
-
-    def test_subset_bounds(self):
-        s = random_system(5, seed=9)
-        for sub in ([0, 1], [2, 3, 4]):
-            v = xi_subset(s, sub, 3.1)
-            assert 0.0 <= v <= 0.5 + 1e-14
-
-    def test_empty_subset_rejected(self):
-        s = random_system(4, seed=9)
-        with pytest.raises(ValueError):
-            xi_subset(s, [], 1.0)
-
-    def test_complement(self):
-        s = random_system(6, seed=10)
-        assert y_complement(s, 0.0) == pytest.approx(0.0, abs=1e-13)
-        t = 4.4
-        assert y_complement(s, t) == pytest.approx(0.5 - xi(s, t), abs=1e-13)
-        assert y_complement(s, t) >= 0.0
-
 
 class TestEigenvalues:
+    """particle_entropies from the closed-form eigenvalues of
+    [[|a|^2, z], [z*, |b|^2]]."""
+
     def test_pure_state(self):
-        lp, lm = eigenvalue_pair(1 / np.sqrt(2), 1 / np.sqrt(2), 0.5)
-        assert (lp, lm) == pytest.approx((1.0, 0.0), abs=1e-14)
+        # |z_l| at its ceiling |a_l b_l| leaves each particle pure.
+        s = random_system(4, seed=1, amplitude_mode="random-complex")
+        ceiling = np.abs(s.amp_a * np.conj(s.amp_b))
+        np.testing.assert_allclose(particle_entropies(s, ceiling), 0.0, rtol=0, atol=1e-12)
 
     def test_fully_mixed(self):
-        # The square root is ill-conditioned at the degenerate point, so the
-        # achievable accuracy is ~sqrt(eps).
-        lp, lm = eigenvalue_pair(1 / np.sqrt(2), 1 / np.sqrt(2), 0.0)
-        assert (lp, lm) == pytest.approx((0.5, 0.5), abs=1e-7)
+        # z = 0 leaves the diagonal: ln 2 for p = 1/2, else -p ln p - q ln q.
+        p = np.array([0.5, 0.2, 0.9])
+        s = make_custom_system(np.zeros((3, 3)), amp_a=np.sqrt(p), amp_b=np.sqrt(1 - p))
+        expected = [np.log(2), -0.2 * np.log(0.2) - 0.8 * np.log(0.8),
+                    -0.9 * np.log(0.9) - 0.1 * np.log(0.1)]
+        np.testing.assert_allclose(particle_entropies(s, np.zeros(3)), expected,
+                                   rtol=0, atol=1e-14)
 
     def test_matches_direct_diagonalization(self):
         s = random_system(6, seed=12, amplitude_mode="random-complex")
         t = 2.9
+        entropies = particle_entropies(s, coherence_magnitudes(s, [t])[0])
         for l in range(6):
             a, b = s.amp_a[l], s.amp_b[l]
             z = coherence(s, l, t)
             rho = np.array([[abs(a) ** 2, z], [np.conj(z), abs(b) ** 2]])
-            direct = np.linalg.eigvalsh(rho)
-            lp, lm = eigenvalue_pair(a, b, z)
-            assert lp == pytest.approx(direct[1], abs=1e-12)
-            assert lm == pytest.approx(direct[0], abs=1e-12)
+            lam = np.linalg.eigvalsh(rho)
+            assert entropies[l] == pytest.approx(-(lam * np.log(lam)).sum(), abs=1e-12)
 
     def test_rejects_invalid_radicand(self):
-        with pytest.raises(ValueError):
-            eigenvalue_pair(1 / np.sqrt(2), 1 / np.sqrt(2), 0.6)
+        s = random_system(3, seed=1)
+        with pytest.raises(RadicandError):
+            particle_entropies(s, np.full(3, 0.6))
 
 
 class TestEntropy:

@@ -18,7 +18,6 @@ from spindecoh.estimation import (
     fit_decoherence_law,
     fit_mean_level,
     run_ensemble,
-    saturation_size,
     time_average,
 )
 from spindecoh.model import SystemConfig, build_system, derive_seed
@@ -294,28 +293,6 @@ class TestScalingLaw:
         tau = decay_law(100, 1e4, 2.2e6, self.P, self.Q, self.R, self.S)
         assert 1e-10 < tau < 4e-10
         assert 0.5 < tau / 2e-10 < 2.0
-
-
-class TestSaturationSize:
-    P, Q, R = 0.45, 0.55, 0.128
-
-    def test_half_saturation(self):
-        n = saturation_size(0.5, self.P, self.Q, self.R)
-        exact = (self.P / self.R) ** (1 / self.Q)
-        assert n == int(np.ceil(exact))
-
-    def test_99_percent(self):
-        n = saturation_size(0.99, self.P, self.Q, self.R)
-        assert 2e4 < n < 8e4
-
-    def test_monotone_in_accuracy(self):
-        sizes = [saturation_size(f, self.P, self.Q, self.R)
-                 for f in (0.5, 0.9, 0.99, 0.999)]
-        assert sizes == sorted(sizes)
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            saturation_size(1.0, self.P, self.Q, self.R)
 
 
 class TestMonotonicity:

@@ -6,10 +6,8 @@ from spindecoh.dynamics import coherence_magnitudes, entropy_total, particle_ent
 from spindecoh.model import SystemConfig, build_system
 from spindecoh.oracle import (
     ParticleCapError,
-    PurityError,
     compare,
     evolve,
-    mutual_information,
     reduce_particle,
     vn_entropy,
 )
@@ -169,30 +167,33 @@ class TestVnEntropy:
 
 
 class TestMutualInformation:
+    """The global state stays pure, so its correlation information
+    sum_l S(rho_l) - S(rho) is the total subsystem entropy S_tot."""
+
     def test_zero_at_start(self):
         s = random_system(4, seed=9)
-        assert mutual_information(s, 0.0) == pytest.approx(0.0, abs=1e-10)
+        assert entropy_total(s, 0.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_two_qubit_maximum(self):
         g = 1.0
         s = make_custom_system([[0.0, g], [g, 0.0]])
-        assert mutual_information(s, np.pi / 4) == pytest.approx(
-            2 * np.log(2), abs=1e-12
-        )
+        assert entropy_total(s, np.pi / 4) == pytest.approx(2 * np.log(2), abs=1e-12)
 
     def test_matches_entropy_total(self):
         for n in (3, 6, 9):
             s = random_system(n, seed=n, amplitude_mode="random-complex")
             t = 0.37 * n
-            assert mutual_information(s, t) == pytest.approx(
-                entropy_total(s, t), abs=1e-10
-            )
+            state = evolve(s, t)
+            total = sum(vn_entropy(reduce_particle(state, l)) for l in range(n))
+            assert total == pytest.approx(entropy_total(s, t), abs=1e-10)
 
     def test_purity_check(self):
         s = random_system(3, seed=10)
-        bad = make_custom_system(s.couplings, amp_a=s.amp_a * 1.001, amp_b=s.amp_b)
-        with pytest.raises((PurityError, ValueError)):
-            mutual_information(bad, 1.0)
+        # Shrinking a keeps every eigenvalue radicand in [0, 1], so the
+        # state-norm check is what fails.
+        bad = make_custom_system(s.couplings, amp_a=s.amp_a * 0.999, amp_b=s.amp_b)
+        with pytest.raises(ValueError, match="not normalized"):
+            compare(bad, [1.0])
 
 
 class TestCompare:

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from spindecoh.model import SystemConfig, build_system
-from spindecoh.recurrence import (
-    particle_frequency,
-    recurrence_stats,
-    recurrence_time,
-)
+from spindecoh.recurrence import recurrence_stats, recurrence_time
 
 from test_model import make_custom_system
 
@@ -17,6 +13,8 @@ def symmetric(rows):
 
 
 class TestParticleFrequency:
+    """recurrence_time(...).frequencies: twice each row's smallest coupling gap."""
+
     def test_direct_formula(self):
         # particle 0 couples with {1, 1/3, 1/2}: smallest gap is 1/2 - 1/3.
         g = symmetric([
@@ -25,43 +23,37 @@ class TestParticleFrequency:
             [0, 0, 0, 0.7],
             [0, 0, 0, 0],
         ])
-        s = make_custom_system(g)
-        assert particle_frequency(s, 0) == pytest.approx(1 / 3, rel=1e-12)
+        freqs = recurrence_time(make_custom_system(g)).frequencies
+        assert freqs[0] == pytest.approx(1 / 3, rel=1e-12)
 
     def test_degenerate_couplings(self):
+        # particle 0 couples twice with 0.4: a zero frequency, flagged degenerate.
         g = symmetric([
             [0, 0.4, 0.4, 0.9],
             [0, 0, 0.1, 0.2],
             [0, 0, 0, 0.3],
             [0, 0, 0, 0],
         ])
-        s = make_custom_system(g)
-        with pytest.raises(ValueError):
-            particle_frequency(s, 0)
+        est = recurrence_time(make_custom_system(g))
+        assert est.frequencies[0] == 0.0
+        assert est.degenerate
+        assert est.period == float("inf")
 
     def test_positive_for_random_potential(self):
         s = build_system(SystemConfig(n_particles=12, rng_seed=3))
-        for l in range(12):
-            assert particle_frequency(s, l) > 0.0
+        assert np.all(recurrence_time(s).frequencies > 0.0)
 
     def test_matches_row_formula_and_recurrence_frequencies(self):
         s = build_system(SystemConfig(n_particles=30, dimension=2, rng_seed=11))
         freqs = recurrence_time(s).frequencies
         for l in range(30):
             row = np.delete(s.couplings[l], l)
-            assert particle_frequency(s, l) == 2.0 * np.diff(np.sort(row)).min()
-            assert particle_frequency(s, l) == freqs[l]
-
-    def test_index_out_of_range(self):
-        s = build_system(SystemConfig(n_particles=5, rng_seed=2))
-        for l in (-1, 5):
-            with pytest.raises(IndexError):
-                particle_frequency(s, l)
+            assert freqs[l] == 2.0 * np.diff(np.sort(row)).min()
 
     def test_needs_three_particles(self):
         s = build_system(SystemConfig(n_particles=2, rng_seed=1))
         with pytest.raises(ValueError):
-            particle_frequency(s, 0)
+            recurrence_time(s)
 
 
 class TestRecurrenceTime:
@@ -75,10 +67,12 @@ class TestRecurrenceTime:
         assert est.period == pytest.approx(2 * np.pi / 0.1, rel=1e-10)
 
     def test_minimizing_pair_recorded(self):
-        g = symmetric([[0, 1.0, 0.9], [0, 0, 0.75], [0, 0, 0]])
-        est = recurrence_time(make_custom_system(g))
-        i, j = est.minimizing_pair
-        assert abs(est.frequencies[i] - est.frequencies[j]) == pytest.approx(0.1)
+        # The period is 2 pi over the smallest gap between any two frequencies.
+        s = build_system(SystemConfig(n_particles=20, dimension=1, rng_seed=5))
+        est = recurrence_time(s)
+        f = est.frequencies
+        gaps = np.abs(f[:, None] - f[None, :])[~np.eye(f.size, dtype=bool)]
+        assert est.period == 2 * np.pi / gaps.min()
 
     def test_degenerate_flagged_not_raised(self):
         # rows 0 and 2 both end up with frequency 0.4 -> zero frequency gap
