@@ -25,8 +25,6 @@ from .config import (
     RunConfig,
     config_hash,
     parse_config,
-    require_average_window,
-    require_positive,
     validate,
 )
 from .dynamics import RadicandError, sample_trajectory
@@ -93,7 +91,7 @@ def _meta(cfg: RunConfig, **extra) -> dict:
     return meta
 
 
-# Each subcommand takes the common flags plus only the flags it reads.
+# Every flag of any subcommand; build_parser picks each subcommand's.
 _FLAGS = {
     "--config": dict(type=str, help="path to a key = value config file"),
     "--seed": dict(type=int, help="master seed override"),
@@ -112,26 +110,17 @@ _FLAGS = {
     "--times": dict(type=int, default=20, help="number of random check times"),
 }
 _COMMON_FLAGS = ("--config", "--seed", "--out", "--n", "--rho", "--d")
-_AVERAGING_FLAGS = ("--u", "--tmax", "--dt", "--threads")
-_SUBCOMMANDS = {
-    "simulate": ("sample one Xi(t) trajectory",
-                 ("--tmax", "--dt", "--with-z", "--with-entropy")),
-    "ensemble": ("run U systems for one parameter cell", _AVERAGING_FLAGS),
-    "sweep": ("run ensembles over parameter grids", _AVERAGING_FLAGS),
-    "fit-scaling": ("fit the decoherence-time scaling law over a sweep",
-                    _AVERAGING_FLAGS),
-    "recurrence": ("estimate Poincare recurrence statistics", ("--u",)),
-    "oracle-check": ("compare analytic dynamics against the brute-force oracle",
-                     ("--tmax", "--times")),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes the common flags, the flags of the keys in its
+    _SUBCOMMANDS row that have one, and the row's other flags."""
     parser = _Parser(prog="spindecoh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subparser)
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
+    for name, (_, help_text, keys, other_flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in _COMMON_FLAGS + flags:
+        key_flags = tuple(f"--{key}" for key in keys if f"--{key}" in _FLAGS)
+        for flag in _COMMON_FLAGS + key_flags + other_flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser
 
@@ -152,16 +141,14 @@ def _threads(args) -> int:
 _RUN_FIELDS = {field.name for field in dataclasses.fields(RunConfig)}
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, keys) -> RunConfig:
     """The config file (or the defaults) with every given flag that names
-    a RunConfig field applied on top, range-checked where the subcommand
-    reads the key: `args` holds exactly the flags in its _SUBCOMMANDS row."""
+    a RunConfig field applied on top, checked for the `keys` the
+    subcommand reads."""
     cfg = parse_config(Path(args.config).read_text()) if args.config else RunConfig()
     overrides = {key: value for key, value in vars(args).items()
                  if key in _RUN_FIELDS and value is not None}
-    cfg = validate(dataclasses.replace(cfg, **overrides))
-    require_positive(cfg, vars(args))
-    return cfg
+    return validate(dataclasses.replace(cfg, **overrides), keys)
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
@@ -194,7 +181,6 @@ _STATS_COLUMNS = ["n", "d", "rho", "eta", "epsilon", "u",
 
 
 def cmd_ensemble(cfg: RunConfig, args) -> int:
-    require_average_window(cfg)
     stats = run_ensemble(
         cfg.system_config(), cfg.u, cfg.seed, dt=cfg.dt, t_max=cfg.tmax,
         t1=cfg.t1, t2=cfg.t2, fit_window=cfg.fit_window, threads=_threads(args),
@@ -204,8 +190,8 @@ def cmd_ensemble(cfg: RunConfig, args) -> int:
         out / "ensemble_runs.csv", _meta(cfg),
         ["run", "seed", "tau", "c", "ssr", "converged", "xi_avg",
          "n_iterations", "fit_lo", "fit_hi"],
-        ([r.index, r.seed, r.tau, r.c, r.ssr, int(r.converged), r.xi_avg,
-          r.n_iterations, r.fit_lo, r.fit_hi] for r in stats.runs),
+        ([r.index, r.seed, r.fit.tau, r.fit.c, r.fit.ssr, int(r.fit.converged), r.xi_avg,
+          r.fit.n_iterations, r.fit.fit_lo, r.fit.fit_hi] for r in stats.runs),
     )
     write_csv(out / "ensemble_stats.csv", _meta(cfg), _STATS_COLUMNS,
               [_stats_row(stats)])
@@ -226,7 +212,6 @@ def _sweep_cells(cfg: RunConfig):
 
 
 def _run_sweep(cfg: RunConfig, cells, threads: int):
-    require_average_window(cfg)
     results = []
     for index, cell in enumerate(cells):
         stats = run_ensemble(
@@ -252,9 +237,10 @@ def cmd_fit_scaling(cfg: RunConfig, args) -> int:
         )
     base = cfg.system_config()
     cells = [dataclasses.replace(base, n_particles=n) for n in cfg.n_list]
+    # The (n, rho) cell is already an N-cell only if n is in n_list.
     cells += [
         dataclasses.replace(base, density=rho)
-        for rho in cfg.rho_list if rho != cfg.rho
+        for rho in cfg.rho_list if rho != cfg.rho or cfg.n not in cfg.n_list
     ]
     results = _run_sweep(cfg, cells, _threads(args))
     fit = fit_decoherence_law(results)
@@ -321,13 +307,25 @@ def cmd_oracle_check(cfg: RunConfig, args) -> int:
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "ensemble": cmd_ensemble,
-    "sweep": cmd_sweep,
-    "fit-scaling": cmd_fit_scaling,
-    "recurrence": cmd_recurrence,
-    "oracle-check": cmd_oracle_check,
+# One row per subcommand: (handler, help, the RunConfig keys it reads
+# besides the system parameters, its flags that set no key). The keys give
+# the subcommand its key flags and are all that validate() checks.
+_SUBCOMMANDS = {
+    "simulate": (cmd_simulate, "sample one Xi(t) trajectory",
+                 ("tmax", "dt"), ("--with-z", "--with-entropy")),
+    "ensemble": (cmd_ensemble, "run U systems for one parameter cell",
+                 ("u", "tmax", "dt", "t1", "t2", "fit_window"), ("--threads",)),
+    "sweep": (cmd_sweep, "run ensembles over parameter grids",
+              ("u", "tmax", "dt", "t1", "t2", "fit_window", "n_list", "rho_list", "d_list"),
+              ("--threads",)),
+    "fit-scaling": (cmd_fit_scaling, "fit the decoherence-time scaling law over a sweep",
+                    ("u", "tmax", "dt", "t1", "t2", "fit_window", "n_list", "rho_list"),
+                    ("--threads",)),
+    "recurrence": (cmd_recurrence, "estimate Poincare recurrence statistics",
+                   ("u", "n_list", "rho_list", "d_list"), ()),
+    "oracle-check": (cmd_oracle_check,
+                     "compare analytic dynamics against the brute-force oracle",
+                     ("tmax",), ("--times",)),
 }
 
 
@@ -338,9 +336,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    handler, _, keys, _ = _SUBCOMMANDS[args.subcommand]
     try:
-        cfg = _load_config(args)
-        return _COMMANDS[args.subcommand](cfg, args)
+        return handler(_load_config(args, keys), args)
     # RadicandError is a ValueError, so numerical failures are caught first.
     except (RadicandError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

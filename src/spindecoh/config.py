@@ -104,57 +104,50 @@ _PARSERS = {
 }
 
 
-def validate(cfg: RunConfig) -> RunConfig:
-    """Check the constraints every command needs; returns the config unchanged."""
-    for name in ("rho", "eta", "epsilon", "dt", "tmax", "t1", "t2"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise ConfigValidationError(f"{name} must be finite, got {getattr(cfg, name)}")
-    for name in ("fit_window", "rho_list"):
-        if not all(math.isfinite(v) for v in getattr(cfg, name) or ()):
-            raise ConfigValidationError(f"{name} entries must be finite, got {getattr(cfg, name)}")
+# Rule and message for the entries of each list key.
+_LIST_RULES = {
+    "n_list": (lambda n: n >= 1, "must be >= 1"),
+    "rho_list": (lambda rho: 0 < rho < math.inf, "must be positive and finite"),
+    "d_list": (lambda d: d in (1, 2, 3), "must be 1, 2 or 3"),
+}
+
+
+def validate(cfg: RunConfig, keys=()) -> RunConfig:
+    """Check the system parameters, which every command reads, and each
+    other key only if it is in `keys`, the keys the command reads; returns
+    the config unchanged."""
     try:
         cfg.system_config()
     except ValueError as exc:
         raise ConfigValidationError(str(exc)) from exc
-    for n in cfg.n_list:
-        if n < 1:
-            raise ConfigValidationError(f"n_list entries must be >= 1, got {n}")
-    for rho in cfg.rho_list:
-        if rho <= 0:
-            raise ConfigValidationError(f"rho_list entries must be positive, got {rho}")
-    for d in cfg.d_list:
-        if d not in (1, 2, 3):
-            raise ConfigValidationError(f"d_list entries must be 1, 2 or 3, got {d}")
-    return cfg
-
-
-def require_positive(cfg: RunConfig, keys) -> None:
-    """dt and tmax must be positive and u at least 1, each checked only if
-    it is in `keys`: a command checks the keys it reads, not the others."""
+    for name in ("dt", "tmax", "t1", "t2"):
+        if name in keys and not math.isfinite(getattr(cfg, name)):
+            raise ConfigValidationError(f"{name} must be finite, got {getattr(cfg, name)}")
     for name in ("dt", "tmax"):
         if name in keys and getattr(cfg, name) <= 0:
             raise ConfigValidationError(f"{name} must be positive, got {getattr(cfg, name)}")
     if "u" in keys and cfg.u < 1:
         raise ConfigValidationError(f"u must be >= 1, got {cfg.u}")
-
-
-def require_average_window(cfg: RunConfig) -> None:
-    """The time-average window [t1, t2] must be ordered and lie inside the
-    trajectory span, and the fit window must be ordered.
-
-    Only the commands that fit and time-average Xi (ensemble, sweep,
-    fit-scaling) need this; the others never read t1, t2 or fit_window.
-    """
-    if not cfg.t1 < cfg.t2:
+    if "t1" in keys and not cfg.t1 < cfg.t2:
         raise ConfigValidationError(f"t1 < t2 required, got t1={cfg.t1}, t2={cfg.t2}")
-    if cfg.t2 > cfg.tmax:
+    if "t2" in keys and cfg.t2 > cfg.tmax:
         raise ConfigValidationError(f"t2 <= tmax required, got t2={cfg.t2}, tmax={cfg.tmax}")
-    if cfg.fit_window is not None and not cfg.fit_window[0] < cfg.fit_window[1]:
-        raise ConfigValidationError(f"fit_window lo < hi required, got {cfg.fit_window}")
+    if "fit_window" in keys and cfg.fit_window is not None:
+        if not all(math.isfinite(v) for v in cfg.fit_window):
+            raise ConfigValidationError(
+                f"fit_window entries must be finite, got {cfg.fit_window}")
+        if not cfg.fit_window[0] < cfg.fit_window[1]:
+            raise ConfigValidationError(f"fit_window lo < hi required, got {cfg.fit_window}")
+    for name, (ok, rule) in _LIST_RULES.items():
+        for value in getattr(cfg, name) if name in keys else ():
+            if not ok(value):
+                raise ConfigValidationError(f"{name} entries {rule}, got {value}")
+    return cfg
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse `key = value` lines into a validated RunConfig."""
+    """Parse `key = value` lines into a RunConfig whose system parameters
+    are validated; each command checks the other keys it reads."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -64,19 +64,13 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Per-run outcome inside an ensemble, with the fit diagnostics:
-    iterations taken and the fit window [fit_lo, fit_hi] actually used."""
+    """Per-run outcome inside an ensemble: the member's decay fit, with its
+    diagnostics, and its long-time average of Xi."""
 
     index: int
     seed: int
-    tau: float
-    c: float
-    ssr: float
-    converged: bool
+    fit: DecayFit
     xi_avg: float
-    n_iterations: int
-    fit_lo: float
-    fit_hi: float
 
 
 @dataclass(frozen=True)
@@ -246,13 +240,8 @@ def _single_run(
     system = build_system(dataclasses.replace(cell, rng_seed=seed))
     n_samples = int(round(t_max / dt)) + 1
     traj = sample_trajectory(system, dt=dt, n_samples=n_samples)
-    fit = fit_decay(traj, fit_window=fit_window)
-    avg = time_average(traj, t1, t2)
-    return RunRecord(
-        index=index, seed=seed, tau=fit.tau, c=fit.c, ssr=fit.ssr,
-        converged=fit.converged, xi_avg=avg, n_iterations=fit.n_iterations,
-        fit_lo=fit.fit_lo, fit_hi=fit.fit_hi,
-    )
+    return RunRecord(index=index, seed=seed, fit=fit_decay(traj, fit_window=fit_window),
+                     xi_avg=time_average(traj, t1, t2))
 
 
 def run_ensemble(
@@ -278,11 +267,11 @@ def run_ensemble(
             lambda i: _single_run(cell, i, master_seed, dt, t_max, t1, t2, fit_window),
             range(u),
         ))
-    bad = [rec for rec in runs if not rec.converged]
+    bad = [rec for rec in runs if not rec.fit.converged]
     if len(bad) > MAX_NONCONVERGED_FRACTION * u:
         members = ", ".join(f"run {rec.index} (seed {rec.seed})" for rec in bad)
         raise RuntimeError(f"{len(bad)}/{u} ensemble fits failed to converge: {members}")
-    taus = np.array([rec.tau for rec in runs])
+    taus = np.array([rec.fit.tau for rec in runs])
     avgs = np.array([rec.xi_avg for rec in runs])
     return EnsembleStats(
         config=cell,

@@ -74,12 +74,9 @@ class SystemConfig:
             raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
-        if not self.density > 0:
-            raise ValueError(f"density must be positive, got {self.density}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        for name in ("density", "eta", "epsilon"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.amplitude_mode not in AMPLITUDE_MODES:
             raise ValueError(f"unknown amplitude_mode {self.amplitude_mode!r}")
         if self.coupling_mode not in COUPLING_MODES:

@@ -107,6 +107,7 @@ def compare(system: SpinSystem, times) -> tuple[np.ndarray, np.ndarray, np.ndarr
     raises ValueError, as `reduce_particle` does.
     """
     energies, psi0 = _basis(system)
+    _norm_deviation(psi0)
     times = np.asarray(times, dtype=float)
     z_abs = coherence_magnitudes(system, times)
     s_analytic = particle_entropies(system, z_abs)

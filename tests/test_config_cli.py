@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import spindecoh
 from spindecoh import dynamics, estimation, oracle, recurrence
-from spindecoh.cli import main
+from spindecoh.cli import build_parser, main
 from spindecoh.config import (
     ConfigParseError,
     ConfigValidationError,
@@ -243,6 +244,18 @@ class TestCli:
         _, _, sweep_rows = read_output(out / "scaling_sweep.csv")
         assert len(sweep_rows) == 5  # 3 N-cells + 2 extra rho-cells
 
+    def test_fit_scaling_n_outside_n_list(self, tmp_path, capsys):
+        # n = 50 is not in n_list, so the (n, rho) cell is no N-cell and
+        # must be built, or the rho grid at n has only 2 densities.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_list = 10, 20, 30\nrho_list = 0.5, 1, 2\nu = 2\ndt = 0.1\n")
+        out = tmp_path / "scal"
+        assert main(["fit-scaling", "--config", str(cfg), "--out", str(out)]) == 0
+        _, _, rows = read_output(out / "scaling_sweep.csv")
+        assert [row[:3] for row in rows] == [
+            ["10", "3", "1.0"], ["20", "3", "1.0"], ["30", "3", "1.0"],
+            ["50", "3", "0.5"], ["50", "3", "1.0"], ["50", "3", "2.0"]]
+
     def test_fit_scaling_degenerate_stderr(self, tmp_path, capsys):
         # With 3 N points for 3 parameters these seeds leave negative
         # diagonal entries in the covariance; their stderrs are NaN and no
@@ -321,6 +334,9 @@ class TestCliInputErrors:
         assert "dt must be finite" in err
 
 
+SUBCOMMANDS = ("simulate", "ensemble", "sweep", "fit-scaling", "recurrence", "oracle-check")
+
+
 class TestOptionTable:
     @pytest.mark.parametrize("subcommand, flag", [
         ("simulate", "--u"), ("simulate", "--threads"),
@@ -361,6 +377,46 @@ class TestOptionTable:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         assert main(argv + ["--config", str(cfg), "--n", "6", "--out", str(tmp_path)]) == 0
+
+    # The list keys each subcommand reads; the others ignore a bad entry.
+    LIST_READERS = {"sweep": ("n_list", "rho_list", "d_list"),
+                    "recurrence": ("n_list", "rho_list", "d_list"),
+                    "fit-scaling": ("n_list", "rho_list")}
+
+    @pytest.mark.parametrize("key, bad", [
+        ("n_list", "0"), ("rho_list", "-1"), ("d_list", "5")])
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_list_key_checked_where_read(self, tmp_path, capsys, subcommand, key, bad):
+        lines = {"n": "8", "u": "4", "n_list": "4, 8, 16", "rho_list": "0.5, 1, 2",
+                 key: bad}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        out = tmp_path / "out"
+        if key in self.LIST_READERS.get(subcommand, ()):
+            assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err.strip()
+            assert err.startswith(f"error: {key} entries must be") and "\n" not in err, err
+            assert not out.exists()
+        else:
+            assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_readme_flag_table_matches_parser(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        documented = {}
+        for line in readme.read_text().splitlines():
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            if line.startswith("| ") and len(cells) == 2 and cells[1].startswith("`--"):
+                names = SUBCOMMANDS if cells[0] == "all six" else cells[0].replace(
+                    "`", "").split(", ")
+                for name in names:
+                    documented.setdefault(name, set()).update(
+                        f.strip("` ") for f in cells[1].split(","))
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        actual = {name: {opt for a in p._actions for opt in a.option_strings
+                         if opt not in ("-h", "--help")}
+                  for name, p in subparsers.items()}
+        assert documented == actual
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n", "4", "--tmax", "1"],

@@ -322,3 +322,36 @@ class TestKernel:
         assert mags.shape == (3, 2000)
         assert np.all(np.isfinite(mags))
         assert np.all((mags >= 0.0) & (mags <= 0.5 + 1e-12))
+
+
+class TestExactLaws:
+    """Exact facts about |z_l(t)| that hold at any N, where the oracle
+    cannot reach."""
+
+    @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
+    def test_density_covariance(self, mode):
+        # g(rho) = rho^(eps/D) g(1) for the same draws, so z_rho(t) = z_1(rho^(eps/D) t):
+        # the decoherence time scales exactly as rho^(-eps/D) (S = eps/D).
+        times = 0.05 * np.arange(401)
+        base = build_system(SystemConfig(n_particles=200, amplitude_mode=mode, rng_seed=4))
+        for rho in (0.5, 4.0):
+            system = build_system(SystemConfig(n_particles=200, density=rho,
+                                               amplitude_mode=mode, rng_seed=4))
+            scaled = coherence_magnitudes(base, rho ** (1.0 / 3.0) * times)
+            assert np.abs(coherence_magnitudes(system, times) - scaled).max() <= 1e-13
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
+    def test_jensen_typical_level(self, mode, seed):
+        # Jensen's formula: the mean over phi of ln|p + q e^{i phi}| is
+        # ln max(p, q), so the long-time mean of ln|z_l| is
+        # ln|a_l b_l| + sum_{k != l} ln max(p_k, q_k). The grid starts at 0
+        # so the kernel's uniform-grid split applies; [50, 100] is sliced.
+        system = random_system(200, seed, amplitude_mode=mode)
+        times = 0.05 * np.arange(2001)
+        got = np.log(coherence_magnitudes(system, times)[times >= 50.0]).mean(axis=0)
+        p, q = np.abs(system.amp_a) ** 2, np.abs(system.amp_b) ** 2
+        log_max = np.log(np.maximum(p, q))
+        want = np.log(np.abs(system.amp_a * system.amp_b)) + log_max.sum() - log_max
+        assert abs(got.mean() - want.mean()) <= 2e-3 * abs(want.mean())
+        assert np.all(np.abs(got - want) <= 0.02 * np.abs(want))

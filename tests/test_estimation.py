@@ -126,7 +126,7 @@ class TestRunEnsemble:
     def test_single_run(self):
         stats = run_ensemble(self.CELL, 1, master_seed=5)
         assert stats.u == 1
-        assert stats.tau_mean == stats.runs[0].tau
+        assert stats.tau_mean == stats.runs[0].fit.tau
         assert np.isnan(stats.tau_std)
         assert np.isnan(stats.xi_std)
 
@@ -134,8 +134,8 @@ class TestRunEnsemble:
         stats = run_ensemble(self.CELL, 3, master_seed=4, t_max=20.0, t1=10.0, t2=20.0,
                              fit_window=(0.0, 50.0))
         for rec in stats.runs:
-            assert rec.n_iterations >= 1
-            assert (rec.fit_lo, rec.fit_hi) == (0.0, 20.0)
+            assert rec.fit.n_iterations >= 1
+            assert (rec.fit.fit_lo, rec.fit.fit_hi) == (0.0, 20.0)
 
     def test_deterministic(self):
         s1 = run_ensemble(self.CELL, 5, master_seed=9)
@@ -186,7 +186,7 @@ class TestRunEnsemble:
         s2 = run_ensemble(doubled, 4, master_seed=3, dt=0.025, t_max=50.0,
                           t1=25.0, t2=50.0)
         for r1, r2 in zip(s1.runs, s2.runs):
-            assert r2.tau == pytest.approx(r1.tau / 2.0, rel=1e-12)
+            assert r2.fit.tau == pytest.approx(r1.fit.tau / 2.0, rel=1e-12)
 
 
 class TestMeanLevelFit:

@@ -222,6 +222,22 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             s.couplings[0, 1] = 5.0
 
+    @pytest.mark.parametrize("dim, rtol", [(1, 1e-9), (2, 1e-12), (3, 1e-12)])
+    @pytest.mark.parametrize("epsilon", [1.0, 2.5])
+    def test_density_covariance(self, dim, rtol, epsilon):
+        # The same draws at density rho put every separation at rho^(-1/D)
+        # times its rho = 1 value, so g(rho) = rho^(eps/D) g(1). In D = 1 the
+        # closest of 1000 particles are ~1e-6 of the side apart, and the
+        # positions' absolute rounding leaves ~1e-10 relative in their r.
+        off = ~np.eye(1000, dtype=bool)
+        base = build_system(SystemConfig(n_particles=1000, dimension=dim,
+                                         epsilon=epsilon, rng_seed=5)).couplings[off]
+        for rho in (0.5, 3.0):
+            cfg = SystemConfig(n_particles=1000, dimension=dim, density=rho,
+                               epsilon=epsilon, rng_seed=5)
+            ratio = build_system(cfg).couplings[off] / base / rho ** (epsilon / dim)
+            assert np.abs(ratio - 1.0).max() <= rtol
+
 
 class TestSeeds:
     def test_derive_seed_deterministic(self):
@@ -239,6 +255,9 @@ class TestConfigValidation:
         {"n_particles": 5, "density": -1.0},
         {"n_particles": 5, "eta": 0.0},
         {"n_particles": 5, "epsilon": -0.5},
+        {"n_particles": 5, "eta": np.inf},
+        {"n_particles": 5, "density": np.inf},
+        {"n_particles": 5, "epsilon": np.nan},
         {"n_particles": 5, "amplitude_mode": "bogus"},
         {"n_particles": 5, "coupling_mode": "bogus"},
     ])

@@ -195,6 +195,15 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="not normalized"):
             compare(bad, [1.0])
 
+    def test_norm_checked_before_closed_form(self):
+        # Growing a pushes |a|^2 |b|^2 past what the closed-form radicand
+        # allows; the norm check must fail first. RadicandError is itself a
+        # ValueError, so the message tells the two apart.
+        s = random_system(3, seed=10)
+        bad = make_custom_system(s.couplings, amp_a=s.amp_a * 1.001, amp_b=s.amp_b)
+        with pytest.raises(ValueError, match="state not normalized"):
+            compare(bad, [1.0])
+
 
 class TestCompare:
     @pytest.mark.parametrize("amplitude_mode", ["equal-superposition", "random-complex"])
