@@ -231,10 +231,6 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_fit_scaling(cfg: RunConfig, args) -> int:
-    if len(cfg.n_list) < 3 or len(cfg.rho_list) < 3:
-        raise ConfigValidationError(
-            "fit-scaling needs n_list (>= 3 values) and rho_list (>= 3 values)"
-        )
     base = cfg.system_config()
     cells = [dataclasses.replace(base, n_particles=n) for n in cfg.n_list]
     # The (n, rho) cell is already an N-cell only if n is in n_list.
@@ -242,6 +238,13 @@ def cmd_fit_scaling(cfg: RunConfig, args) -> int:
         dataclasses.replace(base, density=rho)
         for rho in cfg.rho_list if rho != cfg.rho or cfg.n not in cfg.n_list
     ]
+    # fit_decoherence_law needs 3 distinct N at rho and 3 distinct densities at n.
+    n_at_rho = {c.n_particles for c in cells if c.density == cfg.rho}
+    rho_at_n = {c.density for c in cells if c.n_particles == cfg.n}
+    if min(len(cfg.n_list), len(cfg.rho_list), len(n_at_rho), len(rho_at_n)) < 3:
+        raise ConfigValidationError(
+            "fit-scaling needs n_list and rho_list (>= 3 values) giving >= 3 distinct "
+            f"N at rho and densities at n, got N {sorted(n_at_rho)}, rho {sorted(rho_at_n)}")
     results = _run_sweep(cfg, cells, _threads(args))
     fit = fit_decoherence_law(results)
     out = Path(cfg.out)
@@ -309,7 +312,8 @@ def cmd_oracle_check(cfg: RunConfig, args) -> int:
 
 # One row per subcommand: (handler, help, the RunConfig keys it reads
 # besides the system parameters, its flags that set no key). The keys give
-# the subcommand its key flags and are all that validate() checks.
+# the subcommand its key flags and are all that validate() checks;
+# run_ensemble checks t1, t2 and fit_window on its time grid.
 _SUBCOMMANDS = {
     "simulate": (cmd_simulate, "sample one Xi(t) trajectory",
                  ("tmax", "dt"), ("--with-z", "--with-entropy")),

@@ -57,10 +57,6 @@ class Trajectory:
     coherences: np.ndarray | None = None
     entropy: np.ndarray | None = None
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, offsets) with times[b*K + j] = starts[b] + offsets[j] up to
@@ -134,6 +130,18 @@ def entropy_total(system: SpinSystem, t: float) -> float:
     return float(particle_entropies(system, coherence_magnitudes(system, [t])[0]).sum())
 
 
+def _time_grid(dt: float, n_samples: int, n_particles: int) -> np.ndarray:
+    """Grid t_i = i * dt, i < n_samples, checked before it is built."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    if n_samples * n_particles > MAX_TRAJECTORY_ELEMENTS:
+        raise ValueError(f"trajectory of {n_samples} samples x {n_particles} particles "
+                         f"exceeds the element cap {MAX_TRAJECTORY_ELEMENTS}")
+    return dt * np.arange(n_samples)
+
+
 def sample_trajectory(
     system: SpinSystem,
     dt: float = 0.05,
@@ -142,16 +150,7 @@ def sample_trajectory(
     include_entropy: bool = False,
 ) -> Trajectory:
     """Sample Xi(t) on the uniform grid t_i = i * dt, i = 0..n_samples-1."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if n_samples * system.n_particles > MAX_TRAJECTORY_ELEMENTS:
-        raise ValueError(
-            f"trajectory of {n_samples} samples x {system.n_particles} particles "
-            f"exceeds the element cap {MAX_TRAJECTORY_ELEMENTS}"
-        )
-    times = dt * np.arange(n_samples)
+    times = _time_grid(dt, n_samples, system.n_particles)
     z_abs = coherence_magnitudes(system, times)
     entropy = particle_entropies(system, z_abs).sum(axis=1) if include_entropy else None
     return Trajectory(times, z_abs.mean(axis=1), z_abs if include_coherences else None, entropy)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .dynamics import Trajectory, sample_trajectory
-from .model import SpinSystem, SystemConfig, build_system, derive_seed
+from .dynamics import Trajectory, _time_grid, sample_trajectory
+from .model import SystemConfig, build_system, derive_seed
 
 MAX_FIT_ITERATIONS = 200
 FIT_PARAM_TOL = 1e-8
@@ -115,6 +115,30 @@ def decay_law(n: float, rho: float, eta: float,
     return (1.0 / eta) * (p / n**q + r) * rho ** (-s)
 
 
+def _check_windows(times: np.ndarray, average=None, fit=None) -> np.ndarray | None:
+    """The window rule on the sample grid `times`: an averaging window
+    (t1, t2) needs times[0] <= t1 < t2 <= times[-1] within 1e-9 of a step
+    (so no entry is NaN or infinite); a fit window (lo, hi) needs finite
+    lo < hi and >= 3 samples once hi is clipped to times[-1]. Raises
+    WindowError; returns the fit window's sample mask (None without one)."""
+    if average is not None:
+        t1, t2 = average
+        tol = 1e-9 * (times[1] - times[0])
+        if not t1 < t2:
+            raise WindowError(f"t1 < t2 required, got t1={t1}, t2={t2}")
+        if t1 < times[0] - tol:
+            raise WindowError(f"t1 >= t0 required, got t1={t1}, first sample at {times[0]}")
+        if t2 > times[-1] + tol:
+            raise WindowError(f"t2 <= tmax required, got t2={t2}, last sample at {times[-1]}")
+    if fit is not None:
+        if not (np.all(np.isfinite(fit)) and fit[0] < fit[1]):
+            raise WindowError(f"fit_window lo < hi required, both finite, got {fit}")
+        mask = (times >= fit[0]) & (times <= fit[1])
+        if np.count_nonzero(mask) < 3:
+            raise WindowError(f"fit window {fit} holds {np.count_nonzero(mask)} samples (< 3)")
+        return mask
+
+
 def time_average(trajectory: Trajectory, t1: float, t2: float) -> float:
     """Trapezoidal time average of Xi over [t1, t2].
 
@@ -122,13 +146,7 @@ def time_average(trajectory: Trajectory, t1: float, t2: float) -> float:
     average is exact for piecewise-linear data.
     """
     times, values = trajectory.times, trajectory.xi
-    if t2 <= t1:
-        raise WindowError(f"need t1 < t2, got [{t1}, {t2}]")
-    tol = 1e-9 * trajectory.dt
-    if t1 < times[0] - tol or t2 > times[-1] + tol:
-        raise WindowError(
-            f"window [{t1}, {t2}] outside trajectory span [{times[0]}, {times[-1]}]"
-        )
+    _check_windows(times, average=(t1, t2))
     t1 = max(t1, float(times[0]))
     t2 = min(t2, float(times[-1]))
     inside = (times > t1) & (times < t2)
@@ -162,13 +180,9 @@ def fit_decay(
     tau0, c0 = _initial_guess(trajectory)
     if fit_window is None:
         fit_window = (0.0, min(AUTO_WINDOW_FACTOR * tau0, AUTO_WINDOW_CAP))
-    lo, hi = fit_window
-    hi = min(hi, float(trajectory.times[-1]))
-    mask = (trajectory.times >= lo) & (trajectory.times <= hi)
+    mask = _check_windows(trajectory.times, fit=fit_window)
     t = trajectory.times[mask]
     y = trajectory.xi[mask]
-    if t.size < 3:
-        raise WindowError(f"fit window [{lo}, {hi}] holds {t.size} samples (< 3)")
 
     tau, c = tau0, c0
     resid = y - decay_model(t, tau, c)
@@ -192,9 +206,9 @@ def fit_decay(
             try:
                 step = np.linalg.solve(jtj + lam * scale, jtr)
             except np.linalg.LinAlgError:
-                lam = max(lam, 1e-12) * nu
-                nu *= 2.0
-                continue
+                # Singular for every lam: the tau column of the Jacobian is
+                # zero once exp(-t / tau) underflows at its floor.
+                break
             tau_new = max(tau + step[0], 1e-12)
             c_new = float(np.clip(c + step[1], 0.0, 0.5 - 1e-12))
             resid_new = y - decay_model(t, tau_new, c_new)
@@ -223,7 +237,8 @@ def fit_decay(
     if not converged and ssr < 1e-18:
         converged = True
     return DecayFit(tau=tau, c=c, ssr=ssr, n_iterations=iterations, converged=converged,
-                    fit_lo=float(lo), fit_hi=float(hi))
+                    fit_lo=float(fit_window[0]),
+                    fit_hi=min(float(fit_window[1]), float(trajectory.times[-1])))
 
 
 def _single_run(
@@ -231,14 +246,13 @@ def _single_run(
     index: int,
     master_seed: int,
     dt: float,
-    t_max: float,
+    n_samples: int,
     t1: float,
     t2: float,
     fit_window: tuple[float, float] | None,
 ) -> RunRecord:
     seed = derive_seed(master_seed, index)
     system = build_system(dataclasses.replace(cell, rng_seed=seed))
-    n_samples = int(round(t_max / dt)) + 1
     traj = sample_trajectory(system, dt=dt, n_samples=n_samples)
     return RunRecord(index=index, seed=seed, fit=fit_decay(traj, fit_window=fit_window),
                      xi_avg=time_average(traj, t1, t2))
@@ -258,13 +272,16 @@ def run_ensemble(
     """Simulate U independent systems for one parameter cell and aggregate.
 
     Member seeds derive from (master_seed, run index), so the result is
-    deterministic and independent of the thread count.
+    deterministic and independent of the thread count. The windows are
+    checked on the members' time grid before any member runs.
     """
     if u < 1:
         raise ValueError(f"ensemble size must be >= 1, got {u}")
+    n_samples = int(round(t_max / dt)) + 1
+    _check_windows(_time_grid(dt, n_samples, cell.n_particles), average=(t1, t2), fit=fit_window)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         runs = list(pool.map(
-            lambda i: _single_run(cell, i, master_seed, dt, t_max, t1, t2, fit_window),
+            lambda i: _single_run(cell, i, master_seed, dt, n_samples, t1, t2, fit_window),
             range(u),
         ))
     bad = [rec for rec in runs if not rec.fit.converged]

@@ -95,9 +95,6 @@ class SpinSystem:
     amp_a: np.ndarray          # (N,) complex
     amp_b: np.ndarray          # (N,) complex
     couplings: np.ndarray      # (N, N) symmetric, zero diagonal
-    eta: float
-    epsilon: float
-    dimension: int
 
     def __post_init__(self):
         for arr in (self.positions, self.amp_a, self.amp_b, self.couplings):
@@ -178,12 +175,4 @@ def build_system(config: SystemConfig) -> SpinSystem:
         n = config.n_particles
         couplings = squareform(rng.random(n * (n - 1) // 2))
     a, b = _draw_amplitudes(config, rng)
-    return SpinSystem(
-        positions=positions,
-        amp_a=a,
-        amp_b=b,
-        couplings=couplings,
-        eta=config.eta,
-        epsilon=config.epsilon,
-        dimension=config.dimension,
-    )
+    return SpinSystem(positions=positions, amp_a=a, amp_b=b, couplings=couplings)

@@ -96,6 +96,30 @@ class TestParseConfig:
         assert err.startswith("error: t2 <= tmax required") and "\n" not in err, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, line, message", [
+        (["--dt", "0.3"], "", "t2 <= tmax required"),  # last sample at 99.9
+        ([], "t1 = -10", "t1 >= t0 required"),
+    ])
+    def test_window_outside_grid_rejected_before_any_run(
+            self, tmp_path, capsys, monkeypatch, flags, line, message):
+        calls = []
+        monkeypatch.setattr(estimation, "sample_trajectory", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--n", "4", "--u", "8", *flags,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {message}") and "\n" not in err, err
+        assert not out.exists() and calls == []
+
+    def test_window_past_tmax_inside_grid(self, tmp_path):
+        # dt * round(tmax / dt) = 100.1 > tmax, so t2 = 100.05 is sampled.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t2 = 100.05\n")
+        assert main(["ensemble", "--config", str(cfg), "--n", "8", "--u", "2",
+                     "--dt", "0.35", "--out", str(tmp_path / "out")]) == 0
+
     def test_system_constraints_propagate(self):
         with pytest.raises(ConfigValidationError):
             parse_config("d = 7\n")
@@ -230,6 +254,22 @@ class TestCli:
 
     def test_fit_scaling_requires_grids(self, tmp_path, capsys):
         assert main(["fit-scaling", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("n, code", [(10, 2), (50, 0)])
+    def test_fit_scaling_counts_distinct_cells(self, tmp_path, capsys, monkeypatch, n, code):
+        # With n = 10 the repeated 10 leaves 2 distinct N at rho; with n = 50
+        # the (n, rho) cell is the third.
+        calls = []
+        if code:
+            monkeypatch.setattr("spindecoh.cli.run_ensemble", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = {n}\nn_list = 10, 10, 20\nrho_list = 0.5, 1, 2\nu = 2\n")
+        out = tmp_path / "out"
+        assert main(["fit-scaling", "--config", str(cfg), "--out", str(out)]) == code
+        if code:
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("error: fit-scaling needs") and "\n" not in err, err
+            assert not out.exists() and calls == []
 
     def test_fit_scaling_small(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -456,3 +496,5 @@ class TestPublicSurface:
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
                 assert not hasattr(spindecoh, name), name
         assert "minimizing_pair" not in recurrence.RecurrenceEstimate.__dataclass_fields__
+        assert not {"eta", "epsilon", "dimension"} & set(spindecoh.SpinSystem.__dataclass_fields__)
+        assert not hasattr(spindecoh.Trajectory, "dt")

@@ -148,7 +148,7 @@ class TestTrajectory:
         traj = sample_trajectory(s, dt=0.05, n_samples=2001)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(100.0)
-        assert traj.dt == pytest.approx(0.05)
+        assert traj.times[1] - traj.times[0] == pytest.approx(0.05)
 
     def test_first_sample(self):
         s = random_system(4, seed=17)

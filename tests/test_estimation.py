@@ -95,6 +95,15 @@ class TestFitDecay:
         with pytest.raises(WindowError):
             fit_decay(synthetic_trajectory(1.0, 0.1), fit_window=(40.0, 40.05))
 
+    def test_stalled_fit_stops_without_warnings(self):
+        # At dt = 7 this N = 3 fit drives tau to its 1e-12 floor: exp(-t / tau)
+        # underflows, and the damped system is singular for every lam.
+        system = build_system(SystemConfig(n_particles=3, rng_seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_decay(sample_trajectory(system, dt=7.0, n_samples=15))
+        assert fit.tau == 1e-12 and not fit.converged
+
     def test_bounds_respected(self):
         fit = fit_decay(synthetic_trajectory(0.5, 0.45))
         assert fit.tau > 0.0
@@ -172,6 +181,24 @@ class TestRunEnsemble:
             assert f"run {i} (seed {derive_seed(9, i)})" in msg
         for i in (0, 2, 4):
             assert f"run {i} " not in msg
+
+    @pytest.mark.parametrize("window, message", [
+        (dict(dt=0.3), "t2 <= tmax required"),  # last sample at 99.9
+        (dict(t1=-10.0), "t1 >= t0 required"),
+        (dict(t1=90.0, t2=80.0), "t1 < t2 required"),
+        (dict(t1=float("nan")), "t1 < t2 required"),
+        (dict(t2=float("inf")), "t2 <= tmax required"),
+        (dict(fit_window=(20.0, 10.0)), "fit_window lo < hi required"),
+        (dict(fit_window=(0.0, float("inf"))), "fit_window lo < hi required"),
+        (dict(fit_window=(40.0, 40.05)), r"fit window \(40.0, 40.05\) holds 1 samples"),
+        (dict(fit_window=(200.0, 300.0)), "holds 0 samples"),
+    ])
+    def test_window_checked_before_members_run(self, monkeypatch, window, message):
+        calls = []
+        monkeypatch.setattr(estimation, "sample_trajectory", lambda *a, **k: calls.append(a))
+        with pytest.raises(WindowError, match=message):
+            run_ensemble(self.CELL, 4, master_seed=0, **window)
+        assert calls == []
 
     def test_rejects_bad_u(self):
         with pytest.raises(ValueError):

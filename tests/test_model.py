@@ -55,9 +55,6 @@ def make_custom_system(couplings, amp_a=None, amp_b=None):
         amp_a=np.asarray(amp_a, dtype=complex),
         amp_b=np.asarray(amp_b, dtype=complex),
         couplings=couplings,
-        eta=1.0,
-        epsilon=1.0,
-        dimension=1,
     )
 
 
