@@ -33,6 +33,7 @@ from .estimation import (
     fit_decoherence_law,
     fit_mean_level,
     run_ensemble,
+    scaling_cells,
     time_average,
 )
 from .recurrence import (
@@ -49,7 +50,8 @@ __all__ = [
     "Trajectory", "coherence_magnitudes", "entropy_total",
     "sample_trajectory", "xi",
     "DecayFit", "EnsembleStats", "ScalingFit", "decay_law", "fit_decay",
-    "fit_decoherence_law", "fit_mean_level", "run_ensemble", "time_average",
+    "fit_decoherence_law", "fit_mean_level", "run_ensemble", "scaling_cells",
+    "time_average",
     "RecurrenceEstimate", "RecurrenceStats", "recurrence_stats",
     "recurrence_time",
 ]

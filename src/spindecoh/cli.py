@@ -28,7 +28,7 @@ from .config import (
     validate,
 )
 from .dynamics import RadicandError, sample_trajectory
-from .estimation import fit_decoherence_law, run_ensemble
+from .estimation import fit_decoherence_law, run_ensemble, scaling_cells
 from .model import build_system, derive_seed
 from .oracle import compare
 from .recurrence import recurrence_stats
@@ -212,15 +212,10 @@ def _sweep_cells(cfg: RunConfig):
 
 
 def _run_sweep(cfg: RunConfig, cells, threads: int):
-    results = []
-    for index, cell in enumerate(cells):
-        stats = run_ensemble(
-            cell, cfg.u, derive_seed(cfg.seed, 1_000_000 + index),
-            dt=cfg.dt, t_max=cfg.tmax, t1=cfg.t1, t2=cfg.t2,
-            fit_window=cfg.fit_window, threads=threads,
-        )
-        results.append(stats)
-    return results
+    return [run_ensemble(cell, cfg.u, derive_seed(cfg.seed, 1_000_000 + index),
+                         dt=cfg.dt, t_max=cfg.tmax, t1=cfg.t1, t2=cfg.t2,
+                         fit_window=cfg.fit_window, threads=threads)
+            for index, cell in enumerate(cells)]
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
@@ -231,22 +226,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_fit_scaling(cfg: RunConfig, args) -> int:
-    base = cfg.system_config()
-    cells = [dataclasses.replace(base, n_particles=n) for n in cfg.n_list]
-    # The (n, rho) cell is already an N-cell only if n is in n_list.
-    cells += [
-        dataclasses.replace(base, density=rho)
-        for rho in cfg.rho_list if rho != cfg.rho or cfg.n not in cfg.n_list
-    ]
-    # fit_decoherence_law needs 3 distinct N at rho and 3 distinct densities at n.
-    n_at_rho = {c.n_particles for c in cells if c.density == cfg.rho}
-    rho_at_n = {c.density for c in cells if c.n_particles == cfg.n}
-    if min(len(cfg.n_list), len(cfg.rho_list), len(n_at_rho), len(rho_at_n)) < 3:
-        raise ConfigValidationError(
-            "fit-scaling needs n_list and rho_list (>= 3 values) giving >= 3 distinct "
-            f"N at rho and densities at n, got N {sorted(n_at_rho)}, rho {sorted(rho_at_n)}")
+    cells = scaling_cells(cfg.system_config(), cfg.n_list, cfg.rho_list)
     results = _run_sweep(cfg, cells, _threads(args))
-    fit = fit_decoherence_law(results)
+    fit = fit_decoherence_law(results, cfg.n, cfg.rho)
     out = Path(cfg.out)
     write_csv(out / "scaling_sweep.csv", _meta(cfg), _STATS_COLUMNS,
               (_stats_row(s) for s in results))

@@ -16,7 +16,6 @@ and the mean-level law <Xi>(N) = A * exp(-B * N).
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -286,7 +285,9 @@ def run_ensemble(
         ))
     bad = [rec for rec in runs if not rec.fit.converged]
     if len(bad) > MAX_NONCONVERGED_FRACTION * u:
-        members = ", ".join(f"run {rec.index} (seed {rec.seed})" for rec in bad)
+        members = ", ".join(
+            f"run {r.index} (seed {r.seed}, tau {r.fit.tau:.6g} on [{r.fit.fit_lo}, "
+            f"{r.fit.fit_hi}], {r.fit.n_iterations} iterations)" for r in bad)
         raise RuntimeError(f"{len(bad)}/{u} ensemble fits failed to converge: {members}")
     taus = np.array([rec.fit.tau for rec in runs])
     avgs = np.array([rec.xi_avg for rec in runs])
@@ -313,29 +314,43 @@ def fit_mean_level(n_values, levels) -> tuple[float, float]:
     return float(np.exp(intercept)), float(-slope)
 
 
-def _split_grids(sweep: list[EnsembleStats]):
-    densities = Counter(s.config.density for s in sweep)
-    rho_fixed = densities.most_common(1)[0][0]
-    n_grid = [s for s in sweep if s.config.density == rho_fixed]
-    counts_n = Counter(s.config.n_particles for s in sweep)
-    n_fixed = counts_n.most_common(1)[0][0]
-    rho_grid = [s for s in sweep if s.config.n_particles == n_fixed]
-    if len({s.config.n_particles for s in n_grid}) < 3:
-        raise InsufficientGridError("need >= 3 distinct N at the common density")
-    if len({s.config.density for s in rho_grid}) < 3:
-        raise InsufficientGridError("need >= 3 distinct densities at the common N")
+def _grids(configs: list[SystemConfig], n: int, rho: float) -> tuple[list[int], list[int]]:
+    """The indices of the N-grid (cells at density rho) and of the density
+    grid (cells with n particles), in the order given; InsufficientGridError
+    unless they hold >= 3 distinct N and >= 3 distinct densities."""
+    n_grid = [i for i, c in enumerate(configs) if c.density == rho]
+    rho_grid = [i for i, c in enumerate(configs) if c.n_particles == n]
+    n_found = sorted({configs[i].n_particles for i in n_grid})
+    rho_found = sorted({configs[i].density for i in rho_grid})
+    if min(len(n_found), len(rho_found)) < 3:
+        raise InsufficientGridError(
+            f"the scaling fit needs >= 3 distinct N at rho = {rho} and >= 3 distinct "
+            f"densities at n = {n}, got N {n_found} and rho {rho_found}")
     return n_grid, rho_grid
 
 
-def fit_decoherence_law(sweep: list[EnsembleStats]) -> ScalingFit:
+def scaling_cells(base: SystemConfig, n_list, rho_list) -> list[SystemConfig]:
+    """One cell per n_list entry at base.density, then one per rho_list
+    entry at base.n_particles unless it repeats the base cell as an N-cell;
+    InsufficientGridError, before anything runs, unless the grids hold."""
+    cells = [dataclasses.replace(base, n_particles=n) for n in n_list]
+    cells += [dataclasses.replace(base, density=rho) for rho in rho_list
+              if rho != base.density or base.n_particles not in n_list]
+    _grids(cells, base.n_particles, base.density)
+    return cells
+
+
+def fit_decoherence_law(sweep: list[EnsembleStats], n: int, rho: float) -> ScalingFit:
     """Two-stage fit of tau_d = (1/eta)(P/N**Q + R) rho**(-S) over a sweep.
 
-    Stage 1 extracts S from log-log regression of tau vs rho at fixed N;
-    stage 2 fits (P, Q, R) to the density-corrected taus over the N grid.
-    The mean-level constants (A, B) and fluctuation constants (F, G) are
-    fitted from the same N grid when the data allow it.
+    Stage 1 extracts S from log-log regression of tau vs rho over the
+    cells with n particles; stage 2 fits (P, Q, R) to the density-corrected
+    taus over the cells at density rho (the N grid). The mean-level
+    constants (A, B) and fluctuation constants (F, G) are fitted from the
+    same N grid when the data allow it.
     """
-    n_grid, rho_grid = _split_grids(sweep)
+    n_idx, rho_idx = _grids([s.config for s in sweep], n, rho)
+    n_grid, rho_grid = [sweep[i] for i in n_idx], [sweep[i] for i in rho_idx]
 
     log_rho = np.log([s.config.density for s in rho_grid])
     log_tau = np.log([s.tau_mean for s in rho_grid])

@@ -130,7 +130,7 @@ class TestAcceptance:
             for rho in (0.5, 2.0, 5.0, 10.0)
         ]
         sweep = n_grid + rho_extra
-        fit = fit_decoherence_law(sweep)
+        fit = fit_decoherence_law(sweep, n=50, rho=1.0)
         primary = (abs(fit.q - 0.55) <= 0.15 and abs(fit.s - 0.67) <= 0.15
                    and abs(fit.r - 0.128) <= 0.25 * 0.128)
 

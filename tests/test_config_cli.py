@@ -1,6 +1,8 @@
 import argparse
+import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -268,8 +270,23 @@ class TestCli:
         assert main(["fit-scaling", "--config", str(cfg), "--out", str(out)]) == code
         if code:
             err = capsys.readouterr().err.strip()
-            assert err.startswith("error: fit-scaling needs") and "\n" not in err, err
+            assert err.startswith("error: the scaling fit needs") and "\n" not in err, err
             assert not out.exists() and calls == []
+
+    @pytest.mark.parametrize("lists, rows", [
+        # Repeated densities outnumber the N-cells; the grids are still the
+        # cells at rho = 1 and the cells with n = 50.
+        ("n_list = 10, 20, 30\nrho_list = 2, 2, 2, 2, 0.5, 5\n", 9),
+        # Two n_list entries: the (n, rho) cell is the third N.
+        ("n_list = 10, 20\nrho_list = 0.5, 1, 2\n", 5),
+    ])
+    def test_fit_scaling_grids_at_n_and_rho(self, tmp_path, capsys, lists, rows):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lists + "u = 2\ndt = 0.1\n")
+        out = tmp_path / "scal"
+        assert main(["fit-scaling", "--config", str(cfg), "--out", str(out)]) == 0
+        _, _, sweep_rows = read_output(out / "scaling_sweep.csv")
+        assert len(sweep_rows) == rows
 
     def test_fit_scaling_small(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -498,3 +515,17 @@ class TestPublicSurface:
         assert "minimizing_pair" not in recurrence.RecurrenceEstimate.__dataclass_fields__
         assert not {"eta", "epsilon", "dimension"} & set(spindecoh.SpinSystem.__dataclass_fields__)
         assert not hasattr(spindecoh.Trajectory, "dt")
+
+    def test_readme_library_table_matches_modules(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| Module | Entry points |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for line in table.splitlines():
+            module, entries = (c.strip() for c in line.strip("|").split("|", 1))
+            documented[module.strip("`")] = re.findall(r"`([A-Za-z_]\w*)", entries)
+        assert set(documented) == {"model", "dynamics", "estimation", "recurrence", "oracle"}
+        for module, names in documented.items():
+            for name in names:
+                obj = getattr(importlib.import_module(f"spindecoh.{module}"), name)
+                if module != "oracle" and name != "particle_entropies":
+                    assert name in spindecoh.__all__ and getattr(spindecoh, name) is obj, name

@@ -18,6 +18,7 @@ from spindecoh.estimation import (
     fit_decoherence_law,
     fit_mean_level,
     run_ensemble,
+    scaling_cells,
     time_average,
 )
 from spindecoh.model import SystemConfig, build_system, derive_seed
@@ -168,8 +169,9 @@ class TestRunEnsemble:
 
         def fake_fit(traj, fit_window=None):
             calls.append(None)
-            return DecayFit(tau=1.0, c=0.1, ssr=0.0, n_iterations=200,
-                            converged=len(calls) - 1 not in (1, 3),
+            failed = len(calls) - 1 in (1, 3)
+            return DecayFit(tau=1e-12 if failed else 1.0, c=0.1, ssr=0.0,
+                            n_iterations=3 if failed else 200, converged=not failed,
                             fit_lo=0.0, fit_hi=10.0)
 
         monkeypatch.setattr(estimation, "fit_decay", fake_fit)
@@ -177,8 +179,10 @@ class TestRunEnsemble:
             run_ensemble(self.CELL, 5, master_seed=9, t_max=10.0, t1=5.0, t2=10.0)
         msg = str(exc.value)
         assert msg.startswith("2/5 ensemble fits failed to converge")
+        # Each failing member's fit shows why: here tau at its floor.
         for i in (1, 3):
-            assert f"run {i} (seed {derive_seed(9, i)})" in msg
+            assert (f"run {i} (seed {derive_seed(9, i)}, tau 1e-12 on [0.0, 10.0], "
+                    "3 iterations)") in msg
         for i in (0, 2, 4):
             assert f"run {i} " not in msg
 
@@ -263,7 +267,7 @@ class TestScalingLaw:
         return sweep
 
     def test_recovers_exact_law(self):
-        fit = fit_decoherence_law(self.synthetic_sweep())
+        fit = fit_decoherence_law(self.synthetic_sweep(), 50, 1.0)
         assert fit.s == pytest.approx(self.S, rel=1e-8)
         assert fit.q == pytest.approx(self.Q, rel=1e-5)
         assert fit.p == pytest.approx(self.P, rel=1e-5)
@@ -276,12 +280,12 @@ class TestScalingLaw:
     def test_stderr_needs_residual_dof(self):
         # Three N points fix (P, Q, R) exactly: no degree of freedom is left
         # for the residual variance, so the stderrs are NaN. Five keep them.
-        five = fit_decoherence_law(self.synthetic_sweep())
+        five = fit_decoherence_law(self.synthetic_sweep(), 50, 1.0)
         assert np.all(np.isfinite([five.p_stderr, five.q_stderr, five.r_stderr]))
         three = [s for s in self.synthetic_sweep() if s.config.n_particles in (10, 50, 200)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_decoherence_law(three)
+            fit = fit_decoherence_law(three, 50, 1.0)
         assert np.isnan(fit.p_stderr) and np.isnan(fit.q_stderr) and np.isnan(fit.r_stderr)
         assert np.isfinite(fit.s_stderr)
 
@@ -291,7 +295,7 @@ class TestScalingLaw:
         monkeypatch.setattr(np.linalg, "inv", lambda m: np.diag([-1.0, np.inf, 4.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_decoherence_law(self.synthetic_sweep())
+            fit = fit_decoherence_law(self.synthetic_sweep(), 50, 1.0)
         assert np.isnan(fit.p_stderr) and np.isnan(fit.q_stderr)
         assert np.isnan(fit.r_stderr) or fit.r_stderr > 0.0
 
@@ -306,20 +310,72 @@ class TestScalingLaw:
         rho_cells = [s for s in sweep if s.config.n_particles == 50]
         reg = stats.linregress(np.log([s.config.density for s in rho_cells]),
                                np.log([s.tau_mean for s in rho_cells]))
-        fit = fit_decoherence_law(sweep)
+        fit = fit_decoherence_law(sweep, 50, 1.0)
         assert fit.s == pytest.approx(-reg.slope, rel=1e-12)
         assert fit.s_stderr == pytest.approx(reg.stderr, rel=1e-10)
 
     def test_insufficient_grid(self):
         sweep = [_fake_stats(n, 1.0, 0.1) for n in (10, 20, 50)]
-        with pytest.raises(InsufficientGridError):
-            fit_decoherence_law(sweep)
+        with pytest.raises(InsufficientGridError, match=r"n = 50, got N \[10, 20, 50\] "
+                           r"and rho \[1.0\]$"):
+            fit_decoherence_law(sweep, 50, 1.0)
+
+    def test_grids_at_n_and_rho_not_most_common(self):
+        # Six cells at rho = 2 outnumber the five at rho = 1; the grids are
+        # still the cells at rho = 1 and the cells with N = 50.
+        sweep = self.synthetic_sweep()
+        tau = decay_law(50, 2.0, 1.0, self.P, self.Q, self.R, self.S)
+        sweep += [_fake_stats(50, 2.0, tau) for _ in range(5)]
+        fit = fit_decoherence_law(sweep, 50, 1.0)
+        assert fit.s == pytest.approx(self.S, rel=1e-8)
+        assert fit.q == pytest.approx(self.Q, rel=1e-5)
+        assert fit.p == pytest.approx(self.P, rel=1e-5)
+        assert fit.r == pytest.approx(self.R, rel=1e-5)
+        assert fit.a == pytest.approx(1.27, rel=1e-6)
+        assert fit.b == pytest.approx(0.02, rel=1e-6)
 
     def test_worked_example(self):
         # Electromagnetic-strength cell: N=100 in 0.01 m^3 at eta=2.2e6.
         tau = decay_law(100, 1e4, 2.2e6, self.P, self.Q, self.R, self.S)
         assert 1e-10 < tau < 4e-10
         assert 0.5 < tau / 2e-10 < 2.0
+
+
+class TestScalingCells:
+    BASE = SystemConfig(n_particles=50, dimension=3, density=1.0)
+
+    def cells(self, *pairs):
+        return [dataclasses.replace(self.BASE, n_particles=n, density=rho) for n, rho in pairs]
+
+    def test_n_in_n_list(self):
+        # The base cell (50, 1.0) is an N-cell, so rho_list's 1 adds none.
+        plan = scaling_cells(self.BASE, (10, 20, 50, 100, 200), (0.5, 1.0, 2.0, 5.0, 10.0))
+        assert plan == self.cells((10, 1.0), (20, 1.0), (50, 1.0), (100, 1.0), (200, 1.0),
+                                  (50, 0.5), (50, 2.0), (50, 5.0), (50, 10.0))
+
+    def test_n_outside_n_list(self):
+        plan = scaling_cells(self.BASE, (10, 20, 30), (0.5, 1.0, 2.0))
+        assert plan == self.cells((10, 1.0), (20, 1.0), (30, 1.0),
+                                  (50, 0.5), (50, 1.0), (50, 2.0))
+
+    def test_base_cell_completes_both_grids(self):
+        plan = scaling_cells(self.BASE, (10, 20), (0.5, 1.0, 2.0))
+        assert plan == self.cells((10, 1.0), (20, 1.0), (50, 0.5), (50, 1.0), (50, 2.0))
+
+    def test_repeated_entries_are_kept(self):
+        plan = scaling_cells(self.BASE, (10, 20, 30), (2.0, 2.0, 0.5, 5.0))
+        assert plan == self.cells((10, 1.0), (20, 1.0), (30, 1.0),
+                                  (50, 2.0), (50, 2.0), (50, 0.5), (50, 5.0))
+
+    @pytest.mark.parametrize("n, n_list, rho_list", [
+        (10, (10, 10, 20), (0.5, 1.0, 2.0)),  # N {10, 20} at rho = 1
+        (50, (10, 20, 30), (2.0, 2.0, 5.0)),  # densities {2, 5} at n = 50
+        (50, (), ()),
+    ])
+    def test_short_grid_raises(self, n, n_list, rho_list):
+        base = dataclasses.replace(self.BASE, n_particles=n)
+        with pytest.raises(InsufficientGridError, match=f"at n = {n}, got N "):
+            scaling_cells(base, n_list, rho_list)
 
 
 class TestMonotonicity:
