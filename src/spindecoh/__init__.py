@@ -20,9 +20,7 @@ from .model import (
 from .dynamics import (
     Trajectory,
     coherence_magnitudes,
-    entropy_total,
     sample_trajectory,
-    xi,
 )
 from .estimation import (
     DecayFit,
@@ -47,8 +45,7 @@ __all__ = [
     "__version__",
     "SpinSystem", "SystemConfig", "box_side", "build_couplings",
     "build_system", "derive_seed", "place_particles",
-    "Trajectory", "coherence_magnitudes", "entropy_total",
-    "sample_trajectory", "xi",
+    "Trajectory", "coherence_magnitudes", "sample_trajectory",
     "DecayFit", "EnsembleStats", "ScalingFit", "decay_law", "fit_decay",
     "fit_decoherence_law", "fit_mean_level", "run_ensemble", "scaling_cells",
     "time_average",

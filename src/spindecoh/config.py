@@ -11,6 +11,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
+from .dynamics import _grid_size
 from .model import SystemConfig
 
 
@@ -60,7 +61,7 @@ class RunConfig:
 
     @property
     def n_samples(self) -> int:
-        return int(round(self.tmax / self.dt)) + 1
+        return _grid_size(self.tmax, self.dt)
 
 
 def _parse_int(raw: str) -> int:

@@ -10,11 +10,18 @@ with p_k = |a_k|^2 and q_k = |b_k|^2. Everything here (system coherence
 Xi(t), entropies, trajectory sampling) is built on that product.
 
 `coherence_magnitudes` evaluates |factor|^2 = (p - q)^2 + 4 p q cos^2(2 g t)
-and sums log factors, so no partial product underflows. On a uniform grid
-of T times, cos(A + B_j) = cos A cos B_j - sin A sin B_j takes one trig pair
-per block start A and one per offset B_j of blocks of K ~ sqrt(T) samples:
-about 4 sqrt(T) trig calls per pair instead of T, with no drift. Other
-times use the same loop with K = 1.
+and sums log factors, so no partial product underflows. Since g_lk = g_kl,
+cos^2(2 g_lk t) is the same in both orientations of a pair: the loop runs
+over square tiles I <= J of the coupling matrix, evaluates cos^2 once per
+unordered pair and sample, and adds each tile's row sums of log factors to
+rows I and its column sums to rows J. The log factor takes the terms of
+the other particle, so it is the same in both orientations only when every
+particle has the same (p, q) (equal superposition); then one log serves
+the pair, otherwise each orientation takes its own. On a uniform grid of T
+times, cos(A + B_j) = cos A cos B_j - sin A sin B_j takes one trig pair per
+block start A and one per offset B_j of blocks of K ~ sqrt(T) samples:
+about 4 sqrt(T) trig calls per unordered pair instead of one per sample
+and orientation (2 T), with no drift. Other times use the same loop with K = 1.
 """
 
 from __future__ import annotations
@@ -72,42 +79,57 @@ def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def coherence_magnitudes(system: SpinSystem, times: np.ndarray) -> np.ndarray:
     """|z_l(t)| for all particles at each time; shape (len(times), N).
-    Particles run in row blocks so each temporary holds ~_BLOCK_ELEMENTS."""
+    Square tiles I <= J of the coupling matrix visit each unordered pair
+    once; each temporary holds ~_BLOCK_ELEMENTS."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n = system.n_particles
     starts, offsets = _split_grid(times)
     k = offsets.size
     p, q = np.abs(system.amp_a) ** 2, np.abs(system.amp_b) ** 2
     p, q = p / (p + q), q / (p + q)
-    scale = 2.0 * np.sqrt(p * q)  # |factor|^2 = (scale cos)^2 + floor
+    scale = 4.0 * p * q  # |factor|^2 = scale cos^2 + floor
     floor = (p - q) ** 2
-    rows = max(1, min(n, _BLOCK_ELEMENTS // (k * n)))
-    per_chunk = max(1, _BLOCK_ELEMENTS // (k * rows * n))
-    log_sq = np.empty((starts.size, k, n))
+    shared = bool(np.all(p == p[0]))  # then one log serves both orientations
+    b = max(1, min(n, int(np.sqrt(_BLOCK_ELEMENTS / k))))
+    per_chunk = max(1, _BLOCK_ELEMENTS // (k * b * b))
+    ones = np.ones(b)  # tile row and column sums as matrix-vector products
+    log_sq = np.zeros((starts.size, k, n))
     with np.errstate(divide="ignore"):  # an exact zero factor gives log 0 = -inf
-        for r0 in range(0, n, rows):
-            r1 = min(r0 + rows, n)
-            g2 = 2.0 * system.couplings[r0:r1]
-            off = np.arange(r0, r1)[:, None] != np.arange(n)  # the k = l factor is 1
-            s = np.where(off, scale, 0.0)
-            f = np.where(off, floor, 1.0)
-            ang = offsets[:, None, None] * g2
-            cos_b = np.cos(ang) * s
-            sin_b = np.sin(ang) * s
-            for b0 in range(0, starts.size, per_chunk):
-                ang = starts[b0:b0 + per_chunk, None, None, None] * g2
-                x = np.cos(ang) * cos_b
-                x -= np.sin(ang) * sin_b
-                x *= x
-                x += f
-                log_sq[b0:b0 + per_chunk, :, r0:r1] = np.log(x, out=x).sum(axis=-1)
+        for i0 in range(0, n, b):
+            for j0 in range(i0, n, b):
+                rows, cols = slice(i0, min(i0 + b, n)), slice(j0, min(j0 + b, n))
+                g2 = 2.0 * system.couplings[rows, cols]
+                bi, bj = g2.shape
+                if shared:
+                    s, f = scale[0], floor[0]
+                else:  # particle k's terms as whole tiles: rows I take k in J, rows J k in I
+                    s, f, s_t, f_t = (np.broadcast_to(v, g2.shape).copy() for v in (
+                        scale[cols], floor[cols], scale[rows, None], floor[rows, None]))
+                ang = offsets[:, None, None] * g2
+                cos_b, sin_b = np.cos(ang), np.sin(ang)
+                buf_c, buf_y = np.empty((2, per_chunk, k, bi, bj))
+                for b0 in range(0, starts.size, per_chunk):
+                    blocks = slice(b0, b0 + per_chunk)
+                    m = starts[blocks].size
+                    ang = starts[blocks, None, None, None] * g2
+                    c = np.multiply(np.cos(ang), cos_b, out=buf_c[:m])
+                    c -= np.multiply(np.sin(ang), sin_b, out=buf_y[:m])
+                    c *= c  # cos^2(2 g (A + B_j)), shared by both orientations
+                    y = np.multiply(c, s, out=buf_y[:m])
+                    y += f
+                    np.log(y, out=y)
+                    if i0 == j0:  # the k = l factor is 1
+                        y.reshape(m, k, -1)[..., ::bi + 1] = 0.0
+                    log_sq[blocks, :, rows] += y @ ones[:bj]
+                    if i0 != j0:
+                        if not shared:
+                            y = c
+                            y *= s_t
+                            y += f_t
+                            np.log(y, out=y)
+                        log_sq[blocks, :, cols] += ones[:bi] @ y
     log_z = 0.5 * log_sq.reshape(-1, n)[:times.size]
     return np.abs(system.amp_a * np.conj(system.amp_b)) * np.exp(log_z)
-
-
-def xi(system: SpinSystem, t: float) -> float:
-    """Whole-system decoherence function Xi(t) = (1/N) sum_l |z_l(t)|."""
-    return float(coherence_magnitudes(system, [t])[0].mean())
 
 
 def particle_entropies(system: SpinSystem, z_abs: np.ndarray) -> np.ndarray:
@@ -125,9 +147,9 @@ def particle_entropies(system: SpinSystem, z_abs: np.ndarray) -> np.ndarray:
     return entr(0.5 + root) + entr(0.5 - root)
 
 
-def entropy_total(system: SpinSystem, t: float) -> float:
-    """Total subsystem entropy S_tot(t) = sum_l S(rho_l) in nats."""
-    return float(particle_entropies(system, coherence_magnitudes(system, [t])[0]).sum())
+def _grid_size(t_max: float, dt: float) -> int:
+    """Samples in the grid t_i = i * dt that ends nearest t_max."""
+    return int(round(t_max / dt)) + 1
 
 
 def _time_grid(dt: float, n_samples: int, n_particles: int) -> np.ndarray:

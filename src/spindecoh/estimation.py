@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .dynamics import Trajectory, _time_grid, sample_trajectory
+from .dynamics import Trajectory, _grid_size, _time_grid, sample_trajectory
 from .model import SystemConfig, build_system, derive_seed
 
 MAX_FIT_ITERATIONS = 200
@@ -276,8 +276,11 @@ def run_ensemble(
     """
     if u < 1:
         raise ValueError(f"ensemble size must be >= 1, got {u}")
-    n_samples = int(round(t_max / dt)) + 1
-    _check_windows(_time_grid(dt, n_samples, cell.n_particles), average=(t1, t2), fit=fit_window)
+    n_samples = _grid_size(t_max, dt)
+    # Every auto fit window [0, min(20 tau0, 50)] lies inside (0, AUTO_WINDOW_CAP):
+    # if that holds too few samples, every member's fit would fail.
+    largest_fit = (0.0, AUTO_WINDOW_CAP) if fit_window is None else fit_window
+    _check_windows(_time_grid(dt, n_samples, cell.n_particles), average=(t1, t2), fit=largest_fit)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         runs = list(pool.map(
             lambda i: _single_run(cell, i, master_seed, dt, n_samples, t1, t2, fit_window),

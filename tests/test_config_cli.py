@@ -101,6 +101,9 @@ class TestParseConfig:
     @pytest.mark.parametrize("flags, line, message", [
         (["--dt", "0.3"], "", "t2 <= tmax required"),  # last sample at 99.9
         ([], "t1 = -10", "t1 >= t0 required"),
+        # The largest auto fit window [0, 50] holds 2 samples, so every
+        # member's fit would fail after its simulation.
+        (["--dt", "30"], "t1 = 50\nt2 = 90", "fit window (0.0, 50.0) holds 2 samples"),
     ])
     def test_window_outside_grid_rejected_before_any_run(
             self, tmp_path, capsys, monkeypatch, flags, line, message):
@@ -503,7 +506,8 @@ class TestPublicSurface:
 
     def test_removed_names_gone(self):
         removed = {
-            dynamics: ("coherence", "xi_subset", "y_complement", "eigenvalue_pair"),
+            dynamics: ("coherence", "xi_subset", "y_complement", "eigenvalue_pair", "xi",
+                       "entropy_total"),
             estimation: ("saturation_size",),
             recurrence: ("particle_frequency",),
             oracle: ("mutual_information", "PurityError"),

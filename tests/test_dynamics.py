@@ -2,16 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spindecoh.dynamics import (
     RadicandError,
     coherence_magnitudes,
-    entropy_total,
     particle_entropies,
     sample_trajectory,
-    xi,
 )
-from spindecoh.model import SystemConfig, build_system
+from spindecoh.model import SpinSystem, SystemConfig, build_system
 from spindecoh import dynamics, oracle
 
 from test_model import make_custom_system
@@ -32,6 +31,16 @@ def coherence(system, particle, t):
     factors = np.abs(a) ** 2 * phase + np.abs(b) ** 2 * np.conj(phase)
     factors[particle] = 1.0
     return complex(a[particle] * np.conj(b[particle]) * np.prod(factors))
+
+
+def xi(system, t):
+    """Whole-system decoherence function Xi(t) = (1/N) sum_l |z_l(t)| at one time."""
+    return float(coherence_magnitudes(system, [t])[0].mean())
+
+
+def entropy_total(system, t):
+    """Total subsystem entropy S_tot(t) = sum_l S(rho_l) in nats at one time."""
+    return float(particle_entropies(system, coherence_magnitudes(system, [t])[0]).sum())
 
 
 class TestCoherence:
@@ -266,6 +275,59 @@ def scalar_magnitudes(system, times):
                      for t in times])
 
 
+def row_blocked_magnitudes(system, times):
+    """The row-blocked kernel that preceded the pair tiles, kept as their
+    reference: every ordered pair (l, k) takes its own cos, sin and log."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    n = system.n_particles
+    starts, offsets = dynamics._split_grid(times)
+    k = offsets.size
+    p, q = np.abs(system.amp_a) ** 2, np.abs(system.amp_b) ** 2
+    p, q = p / (p + q), q / (p + q)
+    scale = 2.0 * np.sqrt(p * q)
+    floor = (p - q) ** 2
+    rows = max(1, min(n, dynamics._BLOCK_ELEMENTS // (k * n)))
+    per_chunk = max(1, dynamics._BLOCK_ELEMENTS // (k * rows * n))
+    log_sq = np.empty((starts.size, k, n))
+    with np.errstate(divide="ignore"):
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            g2 = 2.0 * system.couplings[r0:r1]
+            off = np.arange(r0, r1)[:, None] != np.arange(n)
+            s = np.where(off, scale, 0.0)
+            f = np.where(off, floor, 1.0)
+            ang = offsets[:, None, None] * g2
+            cos_b = np.cos(ang) * s
+            sin_b = np.sin(ang) * s
+            for b0 in range(0, starts.size, per_chunk):
+                ang = starts[b0:b0 + per_chunk, None, None, None] * g2
+                x = np.cos(ang) * cos_b
+                x -= np.sin(ang) * sin_b
+                x *= x
+                x += f
+                log_sq[b0:b0 + per_chunk, :, r0:r1] = np.log(x, out=x).sum(axis=-1)
+    log_z = 0.5 * log_sq.reshape(-1, n)[:times.size]
+    return np.abs(system.amp_a * np.conj(system.amp_b)) * np.exp(log_z)
+
+
+def one_differs(n, seed):
+    """Equal superposition except particle 0, so no two orientations of a
+    pair through particle 0 share a log factor."""
+    base = random_system(n, seed)
+    amp_a, amp_b = base.amp_a.copy(), base.amp_b.copy()
+    amp_a[0], amp_b[0] = np.sqrt(0.3), np.sqrt(0.7) * np.exp(0.4j)
+    return make_custom_system(base.couplings, amp_a, amp_b)
+
+
+def tile_size(times):
+    """The kernel's tile side for this time grid."""
+    k = dynamics._split_grid(np.asarray(times, dtype=float))[1].size
+    return int(np.sqrt(dynamics._BLOCK_ELEMENTS / k))
+
+
+SCATTERED = np.random.default_rng(8).random(7) * 100
+
+
 class TestKernel:
     @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
     @pytest.mark.parametrize("n", [10, 50, 200])
@@ -296,6 +358,20 @@ class TestKernel:
         for i in range(0, GRID.size, 97):
             np.testing.assert_allclose(mags[i], coherence_magnitudes(s, [GRID[i]])[0],
                                        rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("times", [4.0 * np.arange(26), GRID, SCATTERED],
+                             ids=["26-samples", "2001-samples", "scattered"])
+    @pytest.mark.parametrize("system", ["equal-superposition", "random-complex", "one-differs"])
+    def test_tiles_match_row_blocked(self, system, times):
+        # No pairs (N = 1), one tile, a full last tile and a ragged one.
+        b = tile_size(times)
+        for n in sorted({1, 2, 3, b - 1, b, b + 1, 50, 200}):
+            if system == "one-differs":
+                s = one_differs(n, seed=n)
+            else:
+                s = random_system(n, seed=n, amplitude_mode=system)
+            diff = np.abs(coherence_magnitudes(s, times) - row_blocked_magnitudes(s, times))
+            assert diff.max() <= 1e-13, (n, diff.max())
 
     def test_bounds_and_time_reversal(self):
         s = random_system(50, seed=6, amplitude_mode="random-complex")
@@ -355,3 +431,57 @@ class TestExactLaws:
         want = np.log(np.abs(system.amp_a * system.amp_b)) + log_max.sum() - log_max
         assert abs(got.mean() - want.mean()) <= 2e-3 * abs(want.mean())
         assert np.all(np.abs(got - want) <= 0.02 * np.abs(want))
+
+
+def permuted(system, perm):
+    return SpinSystem(positions=system.positions[perm], amp_a=system.amp_a[perm],
+                      amp_b=system.amp_b[perm], couplings=system.couplings[np.ix_(perm, perm)])
+
+
+@st.composite
+def systems_and_times(draw):
+    """A system of up to 300 particles, so several tiles and a ragged last
+    one, on a uniform grid (the tiled, angle-added path) or at scattered
+    times (K = 1)."""
+    n = draw(st.integers(1, 300))
+    mode = draw(st.sampled_from(["equal-superposition", "random-complex"]))
+    system = random_system(n, seed=draw(st.integers(0, 2**32 - 1)), amplitude_mode=mode)
+    if draw(st.booleans()):
+        times = draw(st.floats(0.01, 5.0)) * np.arange(draw(st.integers(2, 30)))
+    else:
+        times = np.array(draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5)))
+    return system, times
+
+
+class TestKernelProperties:
+    """Exact symmetries of |z_l(t)| across tile boundaries."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(systems_and_times(), st.randoms(use_true_random=False))
+    def test_permutation(self, case, rnd):
+        # A column sum added to the wrong rows would break this. Permuting
+        # reorders the sum of N log factors, which moves log|z_l| by a few
+        # ulps of |log|z_l||: so 1e-13 relative on |z_l|, times 1 + |log|z_l||.
+        system, times = case
+        perm = np.array(rnd.sample(range(system.n_particles), system.n_particles))
+        mags = coherence_magnitudes(system, times)
+        with np.errstate(divide="ignore"):
+            np.testing.assert_allclose(
+                np.log(coherence_magnitudes(permuted(system, perm), times)),
+                np.log(mags[:, perm]), rtol=1e-13, atol=1e-13)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(systems_and_times())
+    def test_time_reversal(self, case):
+        system, times = case
+        np.testing.assert_allclose(coherence_magnitudes(system, -times),
+                                   coherence_magnitudes(system, times), rtol=1e-13, atol=0)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(systems_and_times())
+    def test_bounds(self, case):
+        system, times = case
+        ceiling = np.abs(system.amp_a * np.conj(system.amp_b))
+        mags = coherence_magnitudes(system, times)
+        assert np.all(mags >= 0.0)
+        assert np.all(mags <= ceiling * (1 + 1e-12))

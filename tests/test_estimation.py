@@ -196,6 +196,7 @@ class TestRunEnsemble:
         (dict(fit_window=(0.0, float("inf"))), "fit_window lo < hi required"),
         (dict(fit_window=(40.0, 40.05)), r"fit window \(40.0, 40.05\) holds 1 samples"),
         (dict(fit_window=(200.0, 300.0)), "holds 0 samples"),
+        (dict(dt=30.0, t2=90.0), r"fit window \(0.0, 50.0\) holds 2 samples"),  # auto window
     ])
     def test_window_checked_before_members_run(self, monkeypatch, window, message):
         calls = []

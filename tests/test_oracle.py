@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spindecoh import oracle
-from spindecoh.dynamics import coherence_magnitudes, entropy_total, particle_entropies
+from spindecoh.dynamics import coherence_magnitudes, particle_entropies
 from spindecoh.model import SystemConfig, build_system
 from spindecoh.oracle import (
     ParticleCapError,
@@ -12,6 +12,7 @@ from spindecoh.oracle import (
     vn_entropy,
 )
 
+from test_dynamics import entropy_total
 from test_model import make_custom_system
 
 
