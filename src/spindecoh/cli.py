@@ -27,9 +27,9 @@ from .config import (
     parse_config,
     validate,
 )
-from .dynamics import RadicandError, sample_trajectory
+from .dynamics import RadicandError, particle_entropies, sample_trajectory
 from .estimation import fit_decoherence_law, run_ensemble, scaling_cells
-from .model import build_system, derive_seed
+from .model import build_system, derive_seed, make_rng
 from .oracle import compare
 from .recurrence import recurrence_stats
 
@@ -153,10 +153,7 @@ def _load_config(args, keys) -> RunConfig:
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
     system = build_system(cfg.system_config())
-    traj = sample_trajectory(
-        system, dt=cfg.dt, n_samples=cfg.n_samples,
-        include_coherences=args.with_z, include_entropy=args.with_entropy,
-    )
+    traj = sample_trajectory(system, dt=cfg.dt, t_max=cfg.tmax)
     columns = ["t", "xi"]
     parts = [traj.times, traj.xi]
     if args.with_z:
@@ -164,7 +161,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         parts += [traj.coherences[:, l] for l in range(system.n_particles)]
     if args.with_entropy:
         columns.append("s_tot")
-        parts.append(traj.entropy)
+        parts.append(particle_entropies(system, traj.coherences).sum(axis=1))
     rows = zip(*(np.asarray(p).tolist() for p in parts))
     write_csv(Path(cfg.out) / "trajectory.csv", _meta(cfg), columns, rows)
     return EXIT_OK
@@ -276,7 +273,7 @@ def cmd_oracle_check(cfg: RunConfig, args) -> int:
     if args.times < 1:
         raise ConfigValidationError(f"--times must be >= 1, got {args.times}")
     system = build_system(cfg.system_config())
-    rng = np.random.Generator(np.random.Philox(key=derive_seed(cfg.seed, 777)))
+    rng = make_rng(derive_seed(cfg.seed, 777))
     times = rng.random(args.times) * cfg.tmax
     max_dz, max_ds, norm_dev = compare(system, times)
     worst = float(max(max_dz.max(), max_ds.max()))

@@ -11,7 +11,6 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
-from .dynamics import _grid_size
 from .model import SystemConfig
 
 
@@ -58,10 +57,6 @@ class RunConfig:
             coupling_mode=self.coupling_mode,
             rng_seed=self.seed,
         )
-
-    @property
-    def n_samples(self) -> int:
-        return _grid_size(self.tmax, self.dt)
 
 
 def _parse_int(raw: str) -> int:

@@ -37,7 +37,7 @@ from .model import SpinSystem
 # much is silently clamped, anything worse is a hard error.
 EIGENVALUE_CLAMP = 1e-12
 
-# Upper bound on n_samples * N for trajectory sampling.
+# Upper bound on samples * N for trajectory sampling.
 MAX_TRAJECTORY_ELEMENTS = 50_000_000
 
 # Elements in one kernel temporary (time blocks x offsets x rows x N);
@@ -55,14 +55,13 @@ class Trajectory:
 
     times: (n,) grid starting at 0 with uniform step (gt units).
     xi: (n,) values of Xi(t).
-    coherences: optional (n, N) per-particle |z_l(t)|.
-    entropy: optional (n,) total subsystem entropy S_tot(t) in nats.
+    coherences: (n, N) per-particle |z_l(t)|; None for a trajectory built
+        from Xi alone.
     """
 
     times: np.ndarray
     xi: np.ndarray
     coherences: np.ndarray | None = None
-    entropy: np.ndarray | None = None
 
 
 def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,32 +146,25 @@ def particle_entropies(system: SpinSystem, z_abs: np.ndarray) -> np.ndarray:
     return entr(0.5 + root) + entr(0.5 - root)
 
 
-def _grid_size(t_max: float, dt: float) -> int:
-    """Samples in the grid t_i = i * dt that ends nearest t_max."""
-    return int(round(t_max / dt)) + 1
-
-
-def _time_grid(dt: float, n_samples: int, n_particles: int) -> np.ndarray:
-    """Grid t_i = i * dt, i < n_samples, checked before it is built."""
+def _time_grid(dt: float, t_max: float, n_particles: int) -> np.ndarray:
+    """Grid t_i = i * dt that ends nearest t_max, checked before it is built."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not np.isfinite(t_max / dt):
+        raise ValueError(f"tmax / dt must be finite, got {t_max} / {dt}")
+    n_samples = int(round(t_max / dt)) + 1
     if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+        raise ValueError(f"the grid needs >= 2 samples, got {n_samples} "
+                         f"from tmax {t_max} and dt {dt}")
     if n_samples * n_particles > MAX_TRAJECTORY_ELEMENTS:
         raise ValueError(f"trajectory of {n_samples} samples x {n_particles} particles "
                          f"exceeds the element cap {MAX_TRAJECTORY_ELEMENTS}")
     return dt * np.arange(n_samples)
 
 
-def sample_trajectory(
-    system: SpinSystem,
-    dt: float = 0.05,
-    n_samples: int = 2001,
-    include_coherences: bool = False,
-    include_entropy: bool = False,
-) -> Trajectory:
-    """Sample Xi(t) on the uniform grid t_i = i * dt, i = 0..n_samples-1."""
-    times = _time_grid(dt, n_samples, system.n_particles)
+def sample_trajectory(system: SpinSystem, dt: float = 0.05, t_max: float = 100.0) -> Trajectory:
+    """Sample every |z_l(t)| and Xi(t) on the grid t_i = i * dt that ends
+    nearest t_max."""
+    times = _time_grid(dt, t_max, system.n_particles)
     z_abs = coherence_magnitudes(system, times)
-    entropy = particle_entropies(system, z_abs).sum(axis=1) if include_entropy else None
-    return Trajectory(times, z_abs.mean(axis=1), z_abs if include_coherences else None, entropy)
+    return Trajectory(times, z_abs.mean(axis=1), z_abs)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .dynamics import Trajectory, _grid_size, _time_grid, sample_trajectory
+from .dynamics import Trajectory, _time_grid, sample_trajectory
 from .model import SystemConfig, build_system, derive_seed
 
 MAX_FIT_ITERATIONS = 200
@@ -245,14 +245,14 @@ def _single_run(
     index: int,
     master_seed: int,
     dt: float,
-    n_samples: int,
+    t_max: float,
     t1: float,
     t2: float,
     fit_window: tuple[float, float] | None,
 ) -> RunRecord:
     seed = derive_seed(master_seed, index)
     system = build_system(dataclasses.replace(cell, rng_seed=seed))
-    traj = sample_trajectory(system, dt=dt, n_samples=n_samples)
+    traj = sample_trajectory(system, dt=dt, t_max=t_max)
     return RunRecord(index=index, seed=seed, fit=fit_decay(traj, fit_window=fit_window),
                      xi_avg=time_average(traj, t1, t2))
 
@@ -276,14 +276,13 @@ def run_ensemble(
     """
     if u < 1:
         raise ValueError(f"ensemble size must be >= 1, got {u}")
-    n_samples = _grid_size(t_max, dt)
     # Every auto fit window [0, min(20 tau0, 50)] lies inside (0, AUTO_WINDOW_CAP):
     # if that holds too few samples, every member's fit would fail.
     largest_fit = (0.0, AUTO_WINDOW_CAP) if fit_window is None else fit_window
-    _check_windows(_time_grid(dt, n_samples, cell.n_particles), average=(t1, t2), fit=largest_fit)
+    _check_windows(_time_grid(dt, t_max, cell.n_particles), average=(t1, t2), fit=largest_fit)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         runs = list(pool.map(
-            lambda i: _single_run(cell, i, master_seed, dt, n_samples, t1, t2, fit_window),
+            lambda i: _single_run(cell, i, master_seed, dt, t_max, t1, t2, fit_window),
             range(u),
         ))
     bad = [rec for rec in runs if not rec.fit.converged]

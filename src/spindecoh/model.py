@@ -77,6 +77,13 @@ class SystemConfig:
         for name in ("density", "eta", "epsilon"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        try:
+            side = box_side(self.n_particles, self.density, self.dimension)
+        except OverflowError:  # N too large for a float
+            side = np.inf
+        if not side < np.inf:
+            raise ValueError(f"box side (N / rho)^(1/D) must be finite, got N = "
+                             f"{self.n_particles}, rho = {self.density}, D = {self.dimension}")
         if self.amplitude_mode not in AMPLITUDE_MODES:
             raise ValueError(f"unknown amplitude_mode {self.amplitude_mode!r}")
         if self.coupling_mode not in COUPLING_MODES:

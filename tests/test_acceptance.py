@@ -89,9 +89,9 @@ class TestAcceptance:
         system = build_system(SystemConfig(
             n_particles=50, dimension=3, density=1.0, rng_seed=5,
         ))
-        traj = sample_trajectory(system, dt=0.05, n_samples=2001,
-                                 include_entropy=True)
-        combined = traj.xi + traj.entropy / (2 * 50 * np.log(2))
+        traj = sample_trajectory(system, dt=0.05, t_max=100.0)
+        entropy = particle_entropies(system, traj.coherences).sum(axis=1)
+        combined = traj.xi + entropy / (2 * 50 * np.log(2))
         window = traj.times >= 50.0
         ratio = float(combined[window].std() / combined[window].mean())
         ok = ratio < 0.10

@@ -1,5 +1,7 @@
 import argparse
 import importlib
+import importlib.util
+import inspect
 import math
 import os
 import re
@@ -22,6 +24,18 @@ from spindecoh.config import (
     parse_config,
     render_config,
 )
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, which is not an installed package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+PERFBENCH_WORKLOADS = _perfbench_workloads()
 
 
 class TestParseConfig:
@@ -104,6 +118,8 @@ class TestParseConfig:
         # The largest auto fit window [0, 50] holds 2 samples, so every
         # member's fit would fail after its simulation.
         (["--dt", "30"], "t1 = 50\nt2 = 90", "fit window (0.0, 50.0) holds 2 samples"),
+        # tmax / dt overflows, so the grid cannot be sized.
+        (["--dt", "1e-320"], "", "tmax / dt must be finite"),
     ])
     def test_window_outside_grid_rejected_before_any_run(
             self, tmp_path, capsys, monkeypatch, flags, line, message):
@@ -393,6 +409,26 @@ class TestCliInputErrors:
             capsys, ["simulate", "--dt", "nan", "--out", str(tmp_path)])
         assert "dt must be finite" in err
 
+    @pytest.mark.parametrize("flags", [["--dt", "1e-320"], ["--tmax", "1e300", "--dt", "1e-10"]])
+    def test_grid_size_not_finite(self, tmp_path, capsys, flags):
+        err = self.assert_one_line_error(
+            capsys, ["simulate", *flags, "--out", str(tmp_path / "out")])
+        assert "tmax / dt must be finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "5", "--rho", "1e-320"],
+        ["recurrence", "--n", "5", "--rho", "1e-320", "--u", "2"],
+        ["ensemble", "--n", "5", "--rho", "1e-320", "--u", "2"],
+        ["simulate", "--n", str(10**400)],
+    ], ids=["simulate", "recurrence", "ensemble", "simulate-huge-n"])
+    def test_box_side_not_finite(self, tmp_path, capsys, argv):
+        # N / rho overflows: before the check, positions were inf and every
+        # Xi NaN, or N did not convert to a float at all.
+        err = self.assert_one_line_error(capsys, [*argv, "--out", str(tmp_path / "out")])
+        assert "box side (N / rho)^(1/D) must be finite" in err
+        assert not (tmp_path / "out").exists()
+
 
 SUBCOMMANDS = ("simulate", "ensemble", "sweep", "fit-scaling", "recurrence", "oracle-check")
 
@@ -487,6 +523,16 @@ class TestOptionTable:
         monkeypatch.setenv("SPINDECOH_THREADS", "abc")
         assert main(argv + ["--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("workload", sorted(PERFBENCH_WORKLOADS))
+    def test_benchmark_inputs_accepted(self, tmp_path, workload):
+        # The benchmark drives the CLI with fixed flags and config files: a
+        # flag or key it uses must not disappear from under it.
+        argvs, _ = PERFBENCH_WORKLOADS[workload].prepare(0, tmp_path, threads=2)
+        for argv in argvs:
+            args = build_parser().parse_args(argv)
+            if args.config:
+                parse_config(Path(args.config).read_text())
+
     def test_cli_import_leaves_out_scipy_stats(self):
         src = str(Path(spindecoh.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -519,6 +565,11 @@ class TestPublicSurface:
         assert "minimizing_pair" not in recurrence.RecurrenceEstimate.__dataclass_fields__
         assert not {"eta", "epsilon", "dimension"} & set(spindecoh.SpinSystem.__dataclass_fields__)
         assert not hasattr(spindecoh.Trajectory, "dt")
+        assert "entropy" not in spindecoh.Trajectory.__dataclass_fields__
+        assert not hasattr(RunConfig, "n_samples")
+        assert not hasattr(dynamics, "_grid_size")
+        params = inspect.signature(spindecoh.sample_trajectory).parameters
+        assert not {"n_samples", "include_coherences", "include_entropy"} & set(params)
 
     def test_readme_library_table_matches_modules(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

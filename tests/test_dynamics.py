@@ -154,19 +154,20 @@ class TestEntropy:
 class TestTrajectory:
     def test_grid_span(self):
         s = random_system(4, seed=16)
-        traj = sample_trajectory(s, dt=0.05, n_samples=2001)
+        traj = sample_trajectory(s, dt=0.05, t_max=100.0)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(100.0)
         assert traj.times[1] - traj.times[0] == pytest.approx(0.05)
 
     def test_first_sample(self):
         s = random_system(4, seed=17)
-        traj = sample_trajectory(s, dt=0.1, n_samples=5)
+        traj = sample_trajectory(s, dt=0.1, t_max=0.4)
         assert traj.xi[0] == pytest.approx(xi(s, 0.0), abs=1e-14)
 
     def test_coherence_channel(self):
         s = random_system(5, seed=18, amplitude_mode="random-complex")
-        traj = sample_trajectory(s, dt=0.7, n_samples=6, include_coherences=True)
+        traj = sample_trajectory(s, dt=0.7, t_max=3.5)
+        assert traj.coherences.shape == (6, 5)
         for i, t in enumerate(traj.times):
             for l in range(5):
                 assert traj.coherences[i, l] == pytest.approx(
@@ -175,22 +176,28 @@ class TestTrajectory:
 
     def test_entropy_channel(self):
         s = random_system(5, seed=18)
-        traj = sample_trajectory(s, dt=0.7, n_samples=6, include_entropy=True)
+        traj = sample_trajectory(s, dt=0.7, t_max=3.5)
+        entropy = particle_entropies(s, traj.coherences).sum(axis=1)
         for i, t in enumerate(traj.times):
-            assert traj.entropy[i] == pytest.approx(entropy_total(s, t), abs=1e-12)
+            assert entropy[i] == pytest.approx(entropy_total(s, t), abs=1e-12)
 
     def test_allocation_guard(self, monkeypatch):
         s = random_system(10, seed=19)
         monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_ELEMENTS", 500)
         with pytest.raises(ValueError, match="element cap 500"):
-            sample_trajectory(s, dt=0.05, n_samples=100)
+            sample_trajectory(s, dt=0.05, t_max=4.95)
 
     def test_input_validation(self):
         s = random_system(3, seed=19)
         with pytest.raises(ValueError):
-            sample_trajectory(s, dt=0.0, n_samples=10)
-        with pytest.raises(ValueError):
-            sample_trajectory(s, dt=0.1, n_samples=1)
+            sample_trajectory(s, dt=0.0, t_max=1.0)
+        with pytest.raises(ValueError, match=">= 2 samples"):
+            sample_trajectory(s, dt=0.1, t_max=0.01)
+        # t_max / dt overflows to inf: a one-line ValueError, not an
+        # OverflowError from sizing the grid.
+        for dt, t_max in ((1e-320, 100.0), (1e-10, 1e300)):
+            with pytest.raises(ValueError, match=r"^tmax / dt must be finite[^\n]*$"):
+                sample_trajectory(s, dt=dt, t_max=t_max)
 
 
 class TestInvariants:
@@ -406,15 +413,35 @@ class TestExactLaws:
 
     @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
     def test_density_covariance(self, mode):
-        # g(rho) = rho^(eps/D) g(1) for the same draws, so z_rho(t) = z_1(rho^(eps/D) t):
-        # the decoherence time scales exactly as rho^(-eps/D) (S = eps/D).
+        # g(rho) = rho^(eps/D) g(1) and g(eta) = eta g(1) for the same draws, so
+        # z_rho(t) = z_1(rho^(eps/D) t) and z_eta(t) = z_1(eta t): the decoherence
+        # time scales exactly as rho^(-eps/D) (S = eps/D) and as 1/eta.
         times = 0.05 * np.arange(401)
         base = build_system(SystemConfig(n_particles=200, amplitude_mode=mode, rng_seed=4))
-        for rho in (0.5, 4.0):
-            system = build_system(SystemConfig(n_particles=200, density=rho,
-                                               amplitude_mode=mode, rng_seed=4))
-            scaled = coherence_magnitudes(base, rho ** (1.0 / 3.0) * times)
-            assert np.abs(coherence_magnitudes(system, times) - scaled).max() <= 1e-13
+        for field, value, speedup in (("density", 0.5, 0.5 ** (1.0 / 3.0)),
+                                      ("density", 4.0, 4.0 ** (1.0 / 3.0)),
+                                      ("eta", 2.5, 2.5)):
+            system = build_system(SystemConfig(n_particles=200, amplitude_mode=mode,
+                                               rng_seed=4, **{field: value}))
+            scaled = coherence_magnitudes(base, speedup * times)
+            assert np.abs(coherence_magnitudes(system, times) - scaled).max() <= 1e-13, field
+
+    @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_short_time_gaussian(self, n, mode):
+        # ln|z_l(t)| = ln|a_l b_l| - 8 t^2 sum_k p_k q_k g_lk^2 + O((g t)^4)
+        # (Cucchietti, Paz & Zurek, PRA 72, 052113). With y = 2 g_lk t, each
+        # factor's -1/2 ln(1 - 4pq sin^2 y) is 2pq y^2 (1 + (2pq - 1/3) y^2) to
+        # leading order, and pq <= 1/4: at x = 2 g_max t the decay exponent's
+        # relative error is at most x^2 / 3.
+        system = random_system(n, seed=1, amplitude_mode=mode)
+        g = system.couplings
+        p, q = np.abs(system.amp_a) ** 2, np.abs(system.amp_b) ** 2
+        x = np.array([0.01, 0.03, 0.1])
+        t = x / (2.0 * g.max())
+        got = np.log(np.abs(system.amp_a * system.amp_b)) - np.log(coherence_magnitudes(system, t))
+        want = 8.0 * t[:, None] ** 2 * (g ** 2 @ (p * q))
+        assert np.all(np.abs(got - want) <= x[:, None] ** 2 / 3.0 * want)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])

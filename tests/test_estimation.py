@@ -102,7 +102,7 @@ class TestFitDecay:
         system = build_system(SystemConfig(n_particles=3, rng_seed=0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            fit = fit_decay(sample_trajectory(system, dt=7.0, n_samples=15))
+            fit = fit_decay(sample_trajectory(system, dt=7.0, t_max=98.0))
         assert fit.tau == 1e-12 and not fit.converged
 
     def test_bounds_respected(self):
@@ -118,7 +118,7 @@ class TestFitDecay:
         seed = derive_seed(derive_seed(1001, 1_000_002), 0)
         system = build_system(SystemConfig(n_particles=50, dimension=3, density=1.0,
                                            rng_seed=seed))
-        traj = sample_trajectory(system, dt=0.05, n_samples=2001)
+        traj = sample_trajectory(system, dt=0.05, t_max=100.0)
         fit = fit_decay(traj)
         assert fit.converged and fit.c == 0.0
         inside = (traj.times >= fit.fit_lo) & (traj.times <= fit.fit_hi)
