@@ -32,6 +32,7 @@ from .estimation import (
     fit_mean_level,
     run_ensemble,
     scaling_cells,
+    sweep_cells,
     time_average,
 )
 from .recurrence import (
@@ -48,7 +49,7 @@ __all__ = [
     "Trajectory", "coherence_magnitudes", "sample_trajectory",
     "DecayFit", "EnsembleStats", "ScalingFit", "decay_law", "fit_decay",
     "fit_decoherence_law", "fit_mean_level", "run_ensemble", "scaling_cells",
-    "time_average",
+    "sweep_cells", "time_average",
     "RecurrenceEstimate", "RecurrenceStats", "recurrence_stats",
     "recurrence_time",
 ]

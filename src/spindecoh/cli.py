@@ -25,12 +25,12 @@ from .config import (
     RunConfig,
     config_hash,
     parse_config,
-    validate,
 )
-from .dynamics import RadicandError, particle_entropies, sample_trajectory
-from .estimation import fit_decoherence_law, run_ensemble, scaling_cells
-from .model import build_system, derive_seed, make_rng
-from .oracle import compare
+from .dynamics import RadicandError, _time_grid, particle_entropies, sample_trajectory
+from .estimation import (_check_plan, fit_decoherence_law, run_ensemble, scaling_cells,
+                         sweep_cells)
+from .model import _positive_finite, build_system, derive_seed, make_rng
+from .oracle import _check_cap, compare
 from .recurrence import recurrence_stats
 
 EXIT_OK = 0
@@ -113,14 +113,13 @@ _COMMON_FLAGS = ("--config", "--seed", "--out", "--n", "--rho", "--d")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand takes the common flags, the flags of the keys in its
-    _SUBCOMMANDS row that have one, and the row's other flags."""
+    """Each subcommand takes the common flags and the flags of its
+    _SUBCOMMANDS row."""
     parser = _Parser(prog="spindecoh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subparser)
-    for name, (_, help_text, keys, other_flags) in _SUBCOMMANDS.items():
+    for name, (_, help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        key_flags = tuple(f"--{key}" for key in keys if f"--{key}" in _FLAGS)
-        for flag in _COMMON_FLAGS + key_flags + other_flags:
+        for flag in _COMMON_FLAGS + flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser
 
@@ -141,17 +140,17 @@ def _threads(args) -> int:
 _RUN_FIELDS = {field.name for field in dataclasses.fields(RunConfig)}
 
 
-def _load_config(args, keys) -> RunConfig:
+def _load_config(args) -> RunConfig:
     """The config file (or the defaults) with every given flag that names
-    a RunConfig field applied on top, checked for the `keys` the
-    subcommand reads."""
+    a RunConfig field applied on top."""
     cfg = parse_config(Path(args.config).read_text()) if args.config else RunConfig()
     overrides = {key: value for key, value in vars(args).items()
                  if key in _RUN_FIELDS and value is not None}
-    return validate(dataclasses.replace(cfg, **overrides), keys)
+    return dataclasses.replace(cfg, **overrides)
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
+    _time_grid(cfg.dt, cfg.tmax, cfg.n)  # the grid's rules, before the system is built
     system = build_system(cfg.system_config())
     traj = sample_trajectory(system, dt=cfg.dt, t_max=cfg.tmax)
     columns = ["t", "xi"]
@@ -195,20 +194,9 @@ def cmd_ensemble(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _sweep_cells(cfg: RunConfig):
-    n_values = cfg.n_list or (cfg.n,)
-    rho_values = cfg.rho_list or (cfg.rho,)
-    d_values = cfg.d_list or (cfg.d,)
-    base = cfg.system_config()
-    for d in d_values:
-        for rho in rho_values:
-            for n in n_values:
-                yield dataclasses.replace(
-                    base, n_particles=n, density=rho, dimension=d
-                )
-
-
 def _run_sweep(cfg: RunConfig, cells, threads: int):
+    """One ensemble per cell, every cell checked before the first runs."""
+    _check_plan(cells, cfg.u, cfg.dt, cfg.tmax, cfg.t1, cfg.t2, cfg.fit_window)
     return [run_ensemble(cell, cfg.u, derive_seed(cfg.seed, 1_000_000 + index),
                          dt=cfg.dt, t_max=cfg.tmax, t1=cfg.t1, t2=cfg.t2,
                          fit_window=cfg.fit_window, threads=threads)
@@ -216,14 +204,18 @@ def _run_sweep(cfg: RunConfig, cells, threads: int):
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    results = _run_sweep(cfg, list(_sweep_cells(cfg)), _threads(args))
+    cells = sweep_cells(cfg.system_config(), cfg.n_list, cfg.rho_list, cfg.d_list)
+    results = _run_sweep(cfg, cells, _threads(args))
     write_csv(Path(cfg.out) / "sweep.csv", _meta(cfg), _STATS_COLUMNS,
               (_stats_row(s) for s in results))
     return EXIT_OK
 
 
 def cmd_fit_scaling(cfg: RunConfig, args) -> int:
-    cells = scaling_cells(cfg.system_config(), cfg.n_list, cfg.rho_list)
+    base = cfg.system_config()
+    # A bad u, dt or tmax is named before a short grid.
+    _check_plan([base], cfg.u, cfg.dt, cfg.tmax, cfg.t1, cfg.t2, cfg.fit_window)
+    cells = scaling_cells(base, cfg.n_list, cfg.rho_list)
     results = _run_sweep(cfg, cells, _threads(args))
     fit = fit_decoherence_law(results, cfg.n, cfg.rho)
     out = Path(cfg.out)
@@ -251,7 +243,7 @@ def cmd_fit_scaling(cfg: RunConfig, args) -> int:
 
 
 def cmd_recurrence(cfg: RunConfig, args) -> int:
-    cells = list(_sweep_cells(cfg))
+    cells = sweep_cells(cfg.system_config(), cfg.n_list, cfg.rho_list, cfg.d_list)
     rows = []
     for index, cell in enumerate(cells):
         stats = recurrence_stats(cell, cfg.u, derive_seed(cfg.seed, 2_000_000 + index))
@@ -272,6 +264,8 @@ def cmd_recurrence(cfg: RunConfig, args) -> int:
 def cmd_oracle_check(cfg: RunConfig, args) -> int:
     if args.times < 1:
         raise ConfigValidationError(f"--times must be >= 1, got {args.times}")
+    _positive_finite("tmax", cfg.tmax)
+    _check_cap(cfg.n)
     system = build_system(cfg.system_config())
     rng = make_rng(derive_seed(cfg.seed, 777))
     times = rng.random(args.times) * cfg.tmax
@@ -289,26 +283,21 @@ def cmd_oracle_check(cfg: RunConfig, args) -> int:
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
-# One row per subcommand: (handler, help, the RunConfig keys it reads
-# besides the system parameters, its flags that set no key). The keys give
-# the subcommand its key flags and are all that validate() checks;
-# run_ensemble checks t1, t2 and fit_window on its time grid.
+_ENSEMBLE_FLAGS = ("--u", "--tmax", "--dt", "--threads")
+
+# One row per subcommand: (handler, help, its flags besides the common ones).
+# Each handler checks the values it reads before it builds a system.
 _SUBCOMMANDS = {
     "simulate": (cmd_simulate, "sample one Xi(t) trajectory",
-                 ("tmax", "dt"), ("--with-z", "--with-entropy")),
-    "ensemble": (cmd_ensemble, "run U systems for one parameter cell",
-                 ("u", "tmax", "dt", "t1", "t2", "fit_window"), ("--threads",)),
-    "sweep": (cmd_sweep, "run ensembles over parameter grids",
-              ("u", "tmax", "dt", "t1", "t2", "fit_window", "n_list", "rho_list", "d_list"),
-              ("--threads",)),
+                 ("--tmax", "--dt", "--with-z", "--with-entropy")),
+    "ensemble": (cmd_ensemble, "run U systems for one parameter cell", _ENSEMBLE_FLAGS),
+    "sweep": (cmd_sweep, "run ensembles over parameter grids", _ENSEMBLE_FLAGS),
     "fit-scaling": (cmd_fit_scaling, "fit the decoherence-time scaling law over a sweep",
-                    ("u", "tmax", "dt", "t1", "t2", "fit_window", "n_list", "rho_list"),
-                    ("--threads",)),
-    "recurrence": (cmd_recurrence, "estimate Poincare recurrence statistics",
-                   ("u", "n_list", "rho_list", "d_list"), ()),
+                    _ENSEMBLE_FLAGS),
+    "recurrence": (cmd_recurrence, "estimate Poincare recurrence statistics", ("--u",)),
     "oracle-check": (cmd_oracle_check,
                      "compare analytic dynamics against the brute-force oracle",
-                     ("tmax",), ("--times",)),
+                     ("--tmax", "--times")),
 }
 
 
@@ -319,9 +308,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    handler, _, keys, _ = _SUBCOMMANDS[args.subcommand]
+    handler = _SUBCOMMANDS[args.subcommand][0]
     try:
-        return handler(_load_config(args, keys), args)
+        return handler(_load_config(args), args)
     # RadicandError is a ValueError, so numerical failures are caught first.
     except (RadicandError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ parse_config(render_config(cfg)) == cfg.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, fields, replace
 
 from .model import SystemConfig
@@ -25,7 +24,9 @@ class ConfigValidationError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs: system parameters, time grid, ensemble size,
-    fit window policy, output directory and sweep grids."""
+    fit window policy, output directory and sweep grids. Construction
+    checks the system parameters; the code that reads each other key
+    checks it."""
 
     n: int = 50
     d: int = 3
@@ -45,6 +46,12 @@ class RunConfig:
     n_list: tuple[int, ...] = ()
     rho_list: tuple[float, ...] = ()
     d_list: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        try:
+            self.system_config()
+        except ValueError as exc:
+            raise ConfigValidationError(str(exc)) from exc
 
     def system_config(self) -> SystemConfig:
         return SystemConfig(
@@ -100,40 +107,9 @@ _PARSERS = {
 }
 
 
-# Rule and message for the entries of each list key.
-_LIST_RULES = {
-    "n_list": (lambda n: n >= 1, "must be >= 1"),
-    "rho_list": (lambda rho: 0 < rho < math.inf, "must be positive and finite"),
-    "d_list": (lambda d: d in (1, 2, 3), "must be 1, 2 or 3"),
-}
-
-
-def validate(cfg: RunConfig, keys=()) -> RunConfig:
-    """Check the system parameters, which every command reads, and each
-    other key only if it is in `keys`, the keys the command reads; returns
-    the config unchanged. The time windows t1, t2 and fit_window are
-    checked on the sampled grid by estimation.run_ensemble."""
-    try:
-        cfg.system_config()
-    except ValueError as exc:
-        raise ConfigValidationError(str(exc)) from exc
-    for name in ("dt", "tmax"):
-        value = getattr(cfg, name)
-        if name in keys and not 0 < value < math.inf:
-            rule = "positive" if math.isfinite(value) else "finite"
-            raise ConfigValidationError(f"{name} must be {rule}, got {value}")
-    if "u" in keys and cfg.u < 1:
-        raise ConfigValidationError(f"u must be >= 1, got {cfg.u}")
-    for name, (ok, rule) in _LIST_RULES.items():
-        for value in getattr(cfg, name) if name in keys else ():
-            if not ok(value):
-                raise ConfigValidationError(f"{name} entries {rule}, got {value}")
-    return cfg
-
-
 def parse_config(text: str) -> RunConfig:
-    """Parse `key = value` lines into a RunConfig whose system parameters
-    are validated; each command checks the other keys it reads."""
+    """Parse `key = value` lines into a RunConfig, which checks its system
+    parameters; the code that uses each other key checks it."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -152,7 +128,7 @@ def parse_config(text: str) -> RunConfig:
             values[key] = _PARSERS[key](raw)
         except ValueError as exc:
             raise ConfigParseError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return validate(RunConfig(**values))
+    return RunConfig(**values)
 
 
 def render_config(cfg: RunConfig) -> str:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import entr
 
-from .model import SpinSystem
+from .model import SpinSystem, _positive_finite
 
 # Radicand of the eigenvalue square root may leave [0, 1] by round-off; this
 # much is silently clamped, anything worse is a hard error.
@@ -148,8 +148,8 @@ def particle_entropies(system: SpinSystem, z_abs: np.ndarray) -> np.ndarray:
 
 def _time_grid(dt: float, t_max: float, n_particles: int) -> np.ndarray:
     """Grid t_i = i * dt that ends nearest t_max, checked before it is built."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _positive_finite("dt", dt)
+    _positive_finite("tmax", t_max)
     if not np.isfinite(t_max / dt):
         raise ValueError(f"tmax / dt must be finite, got {t_max} / {dt}")
     n_samples = int(round(t_max / dt)) + 1

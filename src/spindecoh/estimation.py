@@ -240,6 +240,18 @@ def fit_decay(
                     fit_hi=min(float(fit_window[1]), float(trajectory.times[-1])))
 
 
+def _check_plan(cells: list[SystemConfig], u, dt, t_max, t1, t2, fit_window) -> None:
+    """Check ensembles of u members over `cells` before any member runs:
+    u >= 1, the time grid of the largest cell, and the windows on it."""
+    if u < 1:
+        raise ValueError(f"u must be >= 1, got {u}")
+    times = _time_grid(dt, t_max, max(cell.n_particles for cell in cells))
+    # Every auto fit window [0, min(20 tau0, 50)] lies inside (0, AUTO_WINDOW_CAP):
+    # if that holds too few samples, every member's fit would fail.
+    largest_fit = (0.0, AUTO_WINDOW_CAP) if fit_window is None else fit_window
+    _check_windows(times, average=(t1, t2), fit=largest_fit)
+
+
 def _single_run(
     cell: SystemConfig,
     index: int,
@@ -271,15 +283,10 @@ def run_ensemble(
     """Simulate U independent systems for one parameter cell and aggregate.
 
     Member seeds derive from (master_seed, run index), so the result is
-    deterministic and independent of the thread count. The windows are
-    checked on the members' time grid before any member runs.
+    deterministic and independent of the thread count. u, the time grid
+    and the windows are checked before any member runs.
     """
-    if u < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {u}")
-    # Every auto fit window [0, min(20 tau0, 50)] lies inside (0, AUTO_WINDOW_CAP):
-    # if that holds too few samples, every member's fit would fail.
-    largest_fit = (0.0, AUTO_WINDOW_CAP) if fit_window is None else fit_window
-    _check_windows(_time_grid(dt, t_max, cell.n_particles), average=(t1, t2), fit=largest_fit)
+    _check_plan([cell], u, dt, t_max, t1, t2, fit_window)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         runs = list(pool.map(
             lambda i: _single_run(cell, i, master_seed, dt, t_max, t1, t2, fit_window),
@@ -329,6 +336,16 @@ def _grids(configs: list[SystemConfig], n: int, rho: float) -> tuple[list[int], 
             f"the scaling fit needs >= 3 distinct N at rho = {rho} and >= 3 distinct "
             f"densities at n = {n}, got N {n_found} and rho {rho_found}")
     return n_grid, rho_grid
+
+
+def sweep_cells(base: SystemConfig, n_list, rho_list, d_list) -> list[SystemConfig]:
+    """One cell per (d, rho, n) of d_list x rho_list x n_list, n varying
+    fastest; an empty list stands for the base's value. Each cell checks
+    its parameters as it is made, so a bad entry fails before any run."""
+    return [dataclasses.replace(base, n_particles=n, density=rho, dimension=d)
+            for d in d_list or (base.dimension,)
+            for rho in rho_list or (base.density,)
+            for n in n_list or (base.n_particles,)]
 
 
 def scaling_cells(base: SystemConfig, n_list, rho_list) -> list[SystemConfig]:

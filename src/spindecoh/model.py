@@ -23,6 +23,9 @@ COUPLING_MODES = ("potential", "uniform-random")
 # Particles closer than this fraction of the box side are resampled so that
 # 1/r couplings stay finite.
 MIN_SEPARATION_FACTOR = 1e-9
+# pdist squares separations: below this side the minimum separation squares
+# below the smallest normal float, and placement reads every pair as 0 apart.
+MIN_BOX_SIDE = np.sqrt(np.finfo(float).tiny) / MIN_SEPARATION_FACTOR
 MAX_PLACEMENT_ATTEMPTS = 1000
 
 
@@ -31,7 +34,7 @@ class PlacementError(RuntimeError):
 
 
 class SingularCouplingError(ValueError):
-    """Two particles coincide, giving an infinite coupling."""
+    """A pair of particles is so close that its coupling is not finite."""
 
 
 def splitmix64(x: int) -> int:
@@ -56,6 +59,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
 
 
+def _positive_finite(name: str, value: float) -> None:
+    if not 0 < value < np.inf:
+        rule = "positive" if np.isfinite(value) else "finite"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Parameters defining one random spin system."""
@@ -70,19 +79,15 @@ class SystemConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
-        if self.dimension not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
         for name in ("density", "eta", "epsilon"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        try:
+            _positive_finite(name, getattr(self, name))
+        try:  # box_side checks n_particles and dimension
             side = box_side(self.n_particles, self.density, self.dimension)
         except OverflowError:  # N too large for a float
             side = np.inf
-        if not side < np.inf:
-            raise ValueError(f"box side (N / rho)^(1/D) must be finite, got N = "
+        if not MIN_BOX_SIDE <= side < np.inf:
+            rule = "finite" if side == np.inf else f">= {MIN_BOX_SIDE:.3g}"
+            raise ValueError(f"box side (N / rho)^(1/D) must be {rule}, got N = "
                              f"{self.n_particles}, rho = {self.density}, D = {self.dimension}")
         if self.amplitude_mode not in AMPLITUDE_MODES:
             raise ValueError(f"unknown amplitude_mode {self.amplitude_mode!r}")
@@ -150,11 +155,14 @@ def place_particles(config: SystemConfig, rng: np.random.Generator) -> np.ndarra
 
 def build_couplings(positions: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
     """Coupling matrix g_ij = eta / |r_i - r_j|**epsilon (symmetric, zero
-    diagonal)."""
+    diagonal); SingularCouplingError unless every coupling is finite."""
     r = pdist(positions)
-    if r.size and r.min() == 0.0:
-        raise SingularCouplingError("coincident particles give an infinite coupling")
-    return squareform(eta / r**epsilon)
+    with np.errstate(divide="ignore", over="ignore"):
+        g = eta / r**epsilon
+    if not np.all(np.isfinite(g)):
+        raise SingularCouplingError(f"coupling eta / r^epsilon is not finite at the "
+                                    f"closest pair, r = {r.min():.3g}, epsilon = {epsilon}")
+    return squareform(g)
 
 
 def _draw_amplitudes(config: SystemConfig, rng: np.random.Generator):

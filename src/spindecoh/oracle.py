@@ -37,11 +37,15 @@ def _spin_signs(n: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
+def _check_cap(n: int) -> None:
+    if n > PARTICLE_CAP:
+        raise ParticleCapError(f"N={n} exceeds the brute-force cap {PARTICLE_CAP}")
+
+
 def _basis(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
     """Energies and initial amplitudes of the 2^N basis states."""
     n = system.n_particles
-    if n > PARTICLE_CAP:
-        raise ParticleCapError(f"N={n} exceeds the brute-force cap {PARTICLE_CAP}")
+    _check_cap(n)
     signs = _spin_signs(n)
     # g_ii = 0, so the per-configuration energy is 0.5 * s^T G s.
     energies = 0.5 * ((signs @ system.couplings) * signs).sum(axis=1)

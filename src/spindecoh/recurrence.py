@@ -69,7 +69,7 @@ def recurrence_stats(
     as a separate fraction.
     """
     if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+        raise ValueError(f"u must be >= 2, got {samples}")
     periods = []
     n_degenerate = 0
     for i in range(samples):

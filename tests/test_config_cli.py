@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spindecoh
-from spindecoh import dynamics, estimation, oracle, recurrence
+from spindecoh import cli, config, dynamics, estimation, oracle, recurrence
 from spindecoh.cli import build_parser, main
 from spindecoh.config import (
     ConfigParseError,
@@ -416,6 +416,34 @@ class TestCliInputErrors:
         assert "tmax / dt must be finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("lines, flags, message", [
+        # r^4 underflows to 0 at r ~ 1e-100, which would make every coupling
+        # infinite and every Xi NaN.
+        ("n = 3\nd = 1\nrho = 1e100\nepsilon = 4\n", ["--tmax", "1", "--dt", "0.5"],
+         "coupling eta / r^epsilon is not finite"),
+        # The minimum separation 3e-309 squares to 0 in pdist, so placement
+        # would read every pair as coincident and stall.
+        ("n = 3\nd = 1\nrho = 1e300\n", [], "box side (N / rho)^(1/D) must be >= "),
+    ], ids=["infinite-couplings", "tiny-box"])
+    def test_system_not_representable(self, tmp_path, capsys, lines, flags, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        out = tmp_path / "out"
+        err = self.assert_one_line_error(
+            capsys, ["simulate", "--config", str(cfg), *flags, "--out", str(out)])
+        assert message in err
+        assert not out.exists()
+
+    def test_tiny_box_in_three_dimensions_accepted(self, tmp_path):
+        # The side (3e-300)^(1/3) = 1.4e-100 leaves separations whose squares
+        # are normal floats.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\nd = 3\nrho = 1e300\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--tmax", "1", "--out", str(out)]) == 0
+        _, _, rows = read_output(out / "trajectory.csv")
+        assert all(math.isfinite(float(row[1])) for row in rows)
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n", "5", "--rho", "1e-320"],
         ["recurrence", "--n", "5", "--rho", "1e-320", "--u", "2"],
@@ -431,6 +459,39 @@ class TestCliInputErrors:
 
 
 SUBCOMMANDS = ("simulate", "ensemble", "sweep", "fit-scaling", "recurrence", "oracle-check")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every system build and trajectory, recorded instead of run."""
+    calls = []
+    for module in (cli, estimation, recurrence):
+        monkeypatch.setattr(module, "build_system", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(estimation, "sample_trajectory", lambda *a, **k: calls.append(a))
+    return calls
+
+
+class TestPlanCheckedBeforeBuild:
+    @pytest.mark.parametrize("argv, lines, message", [
+        # 2001 samples x 30000 particles; the condensed distances alone
+        # would take 3.6 GB.
+        (["simulate", "--n", "30000"], "", "exceeds the element cap"),
+        (["oracle-check", "--n", "100000"], "", "exceeds the brute-force cap 14"),
+        # The second cell breaks the cap: the first must not run either.
+        (["sweep"], "n_list = 4, 30000\nu = 2\n", "exceeds the element cap"),
+        (["fit-scaling"], "n_list = 10, 20, 30000\nrho_list = 0.5, 1, 2\nu = 2\n",
+         "exceeds the element cap"),
+        (["sweep"], "d = 1\nrho_list = 1, 1e300\nu = 2\n", "box side"),
+        (["recurrence"], "d = 1\nrho_list = 1, 1e300\nu = 2\n", "box side"),
+    ], ids=["simulate", "oracle-check", "sweep", "fit-scaling", "sweep-box", "recurrence-box"])
+    def test_whole_plan_checked_first(self, tmp_path, capsys, builds, argv, lines, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and message in err and "\n" not in err, err
+        assert builds == [] and not out.exists()
 
 
 class TestOptionTable:
@@ -453,14 +514,14 @@ class TestOptionTable:
         ("fit-scaling", "u = 0"), ("fit-scaling", "dt = 0"), ("fit-scaling", "tmax = 0"),
         ("recurrence", "u = 0"), ("oracle-check", "tmax = 0"),
     ])
-    def test_read_key_range_checked(self, tmp_path, capsys, subcommand, line):
+    def test_read_key_range_checked(self, tmp_path, capsys, builds, subcommand, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "out"
         assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: {line.split()[0]} must be") and "\n" not in err, err
-        assert not out.exists()
+        assert not out.exists() and builds == []
 
     @pytest.mark.parametrize("argv, line", [
         (["simulate", "--tmax", "1"], "u = 0"),
@@ -478,6 +539,8 @@ class TestOptionTable:
     LIST_READERS = {"sweep": ("n_list", "rho_list", "d_list"),
                     "recurrence": ("n_list", "rho_list", "d_list"),
                     "fit-scaling": ("n_list", "rho_list")}
+    # Each entry is checked by the cell (a SystemConfig) it makes.
+    ENTRY_RULES = {"n_list": "n_particles", "rho_list": "density", "d_list": "dimension"}
 
     @pytest.mark.parametrize("key, bad", [
         ("n_list", "0"), ("rho_list", "-1"), ("d_list", "5")])
@@ -491,7 +554,8 @@ class TestOptionTable:
         if key in self.LIST_READERS.get(subcommand, ()):
             assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
             err = capsys.readouterr().err.strip()
-            assert err.startswith(f"error: {key} entries must be") and "\n" not in err, err
+            rule = self.ENTRY_RULES[key]
+            assert err.startswith(f"error: {rule} must be") and "\n" not in err, err
             assert not out.exists()
         else:
             assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
@@ -557,6 +621,8 @@ class TestPublicSurface:
             estimation: ("saturation_size",),
             recurrence: ("particle_frequency",),
             oracle: ("mutual_information", "PurityError"),
+            config: ("validate", "_LIST_RULES"),
+            cli: ("_sweep_cells",),
         }
         for module, names in removed.items():
             for name in names:

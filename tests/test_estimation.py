@@ -379,6 +379,18 @@ class TestScalingCells:
             scaling_cells(base, n_list, rho_list)
 
 
+class TestExactMeanLevel:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_equal_superposition_mean_level(self, n, seed):
+        # With p = q = 1/2 each factor is |cos(2 g_lk t)|, whose time mean is
+        # 2/pi; for rationally independent couplings the product averages to
+        # the product of the means, so <Xi> = (1/2) (2/pi)^(N-1) exactly.
+        stats = run_ensemble(SystemConfig(n_particles=n), 30, master_seed=seed)
+        exact = 0.5 * (2.0 / np.pi) ** (n - 1)
+        assert abs(stats.xi_mean - exact) <= 4.0 * stats.xi_std / np.sqrt(stats.u)
+
+
 class TestMonotonicity:
     def test_tau_decreases_with_n_and_rho(self):
         # Monotone within one ensemble standard deviation.
