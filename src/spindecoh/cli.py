@@ -31,7 +31,7 @@ from .estimation import (_check_plan, fit_decoherence_law, run_ensemble, scaling
                          sweep_cells)
 from .model import _positive_finite, build_system, derive_seed, make_rng
 from .oracle import _check_cap, compare
-from .recurrence import recurrence_stats
+from .recurrence import _check_recurrence_plan, recurrence_stats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -244,6 +244,7 @@ def cmd_fit_scaling(cfg: RunConfig, args) -> int:
 
 def cmd_recurrence(cfg: RunConfig, args) -> int:
     cells = sweep_cells(cfg.system_config(), cfg.n_list, cfg.rho_list, cfg.d_list)
+    _check_recurrence_plan(cells, cfg.u)
     rows = []
     for index, cell in enumerate(cells):
         stats = recurrence_stats(cell, cfg.u, derive_seed(cfg.seed, 2_000_000 + index))

@@ -17,11 +17,20 @@ unordered pair and sample, and adds each tile's row sums of log factors to
 rows I and its column sums to rows J. The log factor takes the terms of
 the other particle, so it is the same in both orientations only when every
 particle has the same (p, q) (equal superposition); then one log serves
-the pair, otherwise each orientation takes its own. On a uniform grid of T
-times, cos(A + B_j) = cos A cos B_j - sin A sin B_j takes one trig pair per
-block start A and one per offset B_j of blocks of K ~ sqrt(T) samples:
-about 4 sqrt(T) trig calls per unordered pair instead of one per sample
-and orientation (2 T), with no drift. Other times use the same loop with K = 1.
+the pair, otherwise each orientation takes its own.
+
+On a uniform grid t = t_0 + (b K + j) step of T times, blocks of
+K = ceil(sqrt(T)) samples split each angle as A_b + B_j, and
+cos(A + B) = cos A cos B - sin A sin B. The phasors come by rotation, not
+by cos/sin: per tile, e^{i 2g step} and e^{i 2g K step} take one direct
+cos and sin each, e^{i 2g t_0} two more when t_0 != 0, and the powers
+e^{i 2g j step} and e^{i 2g b K step} are complex products (4 multiplies,
+2 adds). So each unordered pair costs 4 cos/sin calls per tile (6 when
+t_0 != 0), whatever T, where numpy's cos and sin take 20-30 ns per
+element against under 1 ns for a multiply and 1-2 ns for a log. Rotation
+adds rounding of about K + S ulps to a phase, S being the number of block
+starts; a direct cos already carries |2 g t| eps from its argument. Other
+times (K = 1) use the same loop with a direct cos per start.
 """
 
 from __future__ import annotations
@@ -66,14 +75,36 @@ class Trajectory:
 
 def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, offsets) with times[b*K + j] = starts[b] + offsets[j] up to
-    rounding: K = ceil(sqrt(T)) on a uniform grid (padded at the end), else 1."""
+    rounding: K = ceil(sqrt(T)) on a uniform grid (padded at the end), else 1.
+    The step is taken over the whole span, so a grid far from 0 whose
+    first difference carries the rounding of its first times is uniform too."""
     if times.size > 1:
-        step = times[1] - times[0]
+        step = (times[-1] - times[0]) / (times.size - 1)
         deviation = np.abs(times - (times[0] + step * np.arange(times.size)))
         if np.all(deviation <= 4.0 * np.finfo(float).eps * np.abs(times).max()):
             k = int(np.ceil(np.sqrt(times.size)))
             return times[::k], step * np.arange(k)
     return times, np.zeros(1)
+
+
+def _turn(c, s, w_c, w_s):
+    """(c + i s)(w_c + i w_s) as its real and imaginary parts."""
+    return c * w_c - s * w_s, s * w_c + c * w_s
+
+
+def _phasor_powers(angle: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of j * angle for j < count, each (count, *angle.shape),
+    from one direct cos/sin: rows [j, 2j) are rows [0, j) turned by j * angle."""
+    c, s = np.empty((2, count) + angle.shape)
+    c[0], s[0] = 1.0, 0.0
+    if count > 1:
+        c[1], s[1] = np.cos(angle), np.sin(angle)
+    j = 2
+    while j < count:
+        m = min(j, count - j)
+        c[j:j + m], s[j:j + m] = _turn(c[:m], s[:m], *_turn(c[j - 1], s[j - 1], c[1], s[1]))
+        j += m
+    return c, s
 
 
 def coherence_magnitudes(system: SpinSystem, times: np.ndarray) -> np.ndarray:
@@ -84,6 +115,7 @@ def coherence_magnitudes(system: SpinSystem, times: np.ndarray) -> np.ndarray:
     n = system.n_particles
     starts, offsets = _split_grid(times)
     k = offsets.size
+    uniform = k > 1
     p, q = np.abs(system.amp_a) ** 2, np.abs(system.amp_b) ** 2
     p, q = p / (p + q), q / (p + q)
     scale = 4.0 * p * q  # |factor|^2 = scale cos^2 + floor
@@ -104,15 +136,22 @@ def coherence_magnitudes(system: SpinSystem, times: np.ndarray) -> np.ndarray:
                 else:  # particle k's terms as whole tiles: rows I take k in J, rows J k in I
                     s, f, s_t, f_t = (np.broadcast_to(v, g2.shape).copy() for v in (
                         scale[cols], floor[cols], scale[rows, None], floor[rows, None]))
-                ang = offsets[:, None, None] * g2
-                cos_b, sin_b = np.cos(ang), np.sin(ang)
+                if uniform:  # e^{i 2g A_b}, A_b = t_0 + b K step, and e^{i 2g B_j}, B_j = j step
+                    cos_b, sin_b = _phasor_powers(offsets[1] * g2, k)
+                    cos_a, sin_a = _phasor_powers(k * offsets[1] * g2, starts.size)
+                    if starts[0] != 0.0:
+                        ang = starts[0] * g2
+                        cos_a, sin_a = _turn(cos_a, sin_a, np.cos(ang), np.sin(ang))
                 buf_c, buf_y = np.empty((2, per_chunk, k, bi, bj))
                 for b0 in range(0, starts.size, per_chunk):
                     blocks = slice(b0, b0 + per_chunk)
                     m = starts[blocks].size
-                    ang = starts[blocks, None, None, None] * g2
-                    c = np.multiply(np.cos(ang), cos_b, out=buf_c[:m])
-                    c -= np.multiply(np.sin(ang), sin_b, out=buf_y[:m])
+                    c = buf_c[:m]
+                    if uniform:  # cos(A + B_j) = cos A cos B_j - sin A sin B_j
+                        np.multiply(cos_a[blocks, None], cos_b, out=c)
+                        c -= np.multiply(sin_a[blocks, None], sin_b, out=buf_y[:m])
+                    else:
+                        np.cos(starts[blocks, None, None, None] * g2, out=c)
                     c *= c  # cos^2(2 g (A + B_j)), shared by both orientations
                     y = np.multiply(c, s, out=buf_y[:m])
                     y += f

@@ -6,7 +6,8 @@ derived from an eta / r**epsilon potential (or drawn uniformly at random),
 and per-particle superposition amplitudes (a_k, b_k).
 
 Pairwise data lives in condensed form (one value per pair i < j, the order
-of `scipy.spatial.distance.pdist`): placement tests separations on it, and
+of `scipy.spatial.distance.pdist`): placement tests separations on it,
+`build_system` takes the couplings from placement's last distances, and
 both coupling modes expand it with `squareform`.
 """
 
@@ -129,11 +130,9 @@ def box_side(n_particles: int, density: float, dimension: int) -> float:
     return (n_particles / density) ** (1.0 / dimension)
 
 
-def place_particles(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw N positions uniformly in the box, resampling any particle that
-    lands closer than MIN_SEPARATION_FACTOR * l to an earlier one. Rounds
-    draw one candidate per missing particle and keep them in draw order, so
-    positions and generator state match drawing one at a time."""
+def _place(config: SystemConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """place_particles, with the condensed distances of the positions (the
+    last round's, which kept every point)."""
     n, d = config.n_particles, config.dimension
     side = box_side(n, config.density, d)
     min_sep = MIN_SEPARATION_FACTOR * side
@@ -141,28 +140,46 @@ def place_particles(config: SystemConfig, rng: np.random.Generator) -> np.ndarra
     stalled = 0
     while len(positions) < n:
         points = np.vstack([positions, rng.random((n - len(positions), d)) * side])
-        close = squareform(pdist(points) < min_sep)
+        r = pdist(points)
         keep = np.ones(len(points), dtype=bool)
-        # Kept positions are mutually separated, so only candidates show up.
-        for j in np.flatnonzero(np.tril(close).any(axis=1)):
-            keep[j] = not (close[j, :j] & keep[:j]).any()
+        close = np.flatnonzero(r < min_sep)
+        if close.size:  # condensed index -> pair (i, j), i < j
+            m = len(points)
+            row_start = np.arange(m) * (2 * m - 1 - np.arange(m)) // 2
+            i = np.searchsorted(row_start, close, side="right") - 1
+            j = close - row_start[i] + i + 1
+            # Kept positions are mutually separated, so every j is a candidate.
+            for later in np.unique(j):
+                keep[later] = not keep[i[j == later]].any()
         stalled = stalled + 1 if keep.sum() == len(positions) else 0
         if stalled == MAX_PLACEMENT_ATTEMPTS:
             raise PlacementError(f"no particle placed in {MAX_PLACEMENT_ATTEMPTS} rounds")
         positions = points[keep]
-    return positions
+    return positions, r
 
 
-def build_couplings(positions: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
-    """Coupling matrix g_ij = eta / |r_i - r_j|**epsilon (symmetric, zero
-    diagonal); SingularCouplingError unless every coupling is finite."""
-    r = pdist(positions)
+def place_particles(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw N positions uniformly in the box, resampling any particle that
+    lands closer than MIN_SEPARATION_FACTOR * l to an earlier one. Rounds
+    draw one candidate per missing particle and keep them in draw order, so
+    positions and generator state match drawing one at a time."""
+    return _place(config, rng)[0]
+
+
+def _couplings(r: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
+    """build_couplings from the condensed distances r."""
     with np.errstate(divide="ignore", over="ignore"):
         g = eta / r**epsilon
     if not np.all(np.isfinite(g)):
         raise SingularCouplingError(f"coupling eta / r^epsilon is not finite at the "
                                     f"closest pair, r = {r.min():.3g}, epsilon = {epsilon}")
     return squareform(g)
+
+
+def build_couplings(positions: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
+    """Coupling matrix g_ij = eta / |r_i - r_j|**epsilon (symmetric, zero
+    diagonal); SingularCouplingError unless every coupling is finite."""
+    return _couplings(pdist(positions), eta, epsilon)
 
 
 def _draw_amplitudes(config: SystemConfig, rng: np.random.Generator):
@@ -183,9 +200,9 @@ def _draw_amplitudes(config: SystemConfig, rng: np.random.Generator):
 def build_system(config: SystemConfig) -> SpinSystem:
     """Assemble a SpinSystem from a config; deterministic given the seed."""
     rng = make_rng(config.rng_seed)
-    positions = place_particles(config, rng)
+    positions, r = _place(config, rng)
     if config.coupling_mode == "potential":
-        couplings = build_couplings(positions, config.eta, config.epsilon)
+        couplings = _couplings(r, config.eta, config.epsilon)
     else:
         n = config.n_particles
         couplings = squareform(rng.random(n * (n - 1) // 2))

@@ -41,6 +41,20 @@ class RecurrenceStats:
     degenerate_fraction: float
 
 
+def _check_n(n: int) -> None:
+    if n < 3:
+        raise ValueError(f"need N >= 3 for coupling gaps, got N={n}")
+
+
+def _check_recurrence_plan(cells: list[SystemConfig], samples: int) -> None:
+    """Check recurrence statistics of `samples` draws over `cells` before
+    any system is built: u >= 2 and N >= 3 in every cell."""
+    if samples < 2:
+        raise ValueError(f"u must be >= 2, got {samples}")
+    for cell in cells:
+        _check_n(cell.n_particles)
+
+
 def recurrence_time(system: SpinSystem) -> RecurrenceEstimate:
     """Estimate the recurrence period 2*pi / min_{i != i'} |w_i - w_i'|.
 
@@ -49,10 +63,10 @@ def recurrence_time(system: SpinSystem) -> RecurrenceEstimate:
     """
     g = system.couplings
     n = g.shape[0]
-    if n < 3:
-        raise ValueError(f"need N >= 3 for coupling gaps, got N={n}")
+    _check_n(n)
     # Sort each row excluding the diagonal zero, then take adjacent gaps.
-    off = np.sort(g[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+    off = g[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    off.sort(axis=1)
     freqs = 2.0 * np.diff(off, axis=1).min(axis=1)
     min_gap = float(np.diff(np.sort(freqs)).min())
     degenerate = bool(min_gap == 0.0 or np.any(freqs == 0.0))
@@ -68,8 +82,7 @@ def recurrence_stats(
     Degenerate draws are excluded from the numeric summaries and reported
     as a separate fraction.
     """
-    if samples < 2:
-        raise ValueError(f"u must be >= 2, got {samples}")
+    _check_recurrence_plan([cell], samples)
     periods = []
     n_degenerate = 0
     for i in range(samples):

@@ -380,6 +380,34 @@ class TestKernel:
             diff = np.abs(coherence_magnitudes(s, times) - row_blocked_magnitudes(s, times))
             assert diff.max() <= 1e-13, (n, diff.max())
 
+    @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
+    @pytest.mark.parametrize("times", [10.0 + GRID, -GRID, 30.0 - 0.05 * np.arange(1001)],
+                             ids=["from-10", "backwards", "from-30-backwards"])
+    def test_shifted_grid_matches_scalar_path(self, times, mode):
+        # Phasors are rotated from the grid's first time and step: grids
+        # that start away from 0 or step backwards take the t_0 phasor.
+        assert dynamics._split_grid(times)[1].size > 1  # taken as uniform
+        s = random_system(50, seed=9, amplitude_mode=mode)
+        every = slice(None, None, 40)
+        np.testing.assert_allclose(coherence_magnitudes(s, times)[every],
+                                   scalar_magnitudes(s, times[every]), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
+    def test_long_grid(self, mode):
+        # 20001 samples: K = 142 offsets and 141 block starts, each phasor
+        # some hundred rotations from its direct cos/sin.
+        times = 0.05 * np.arange(20001)
+        assert dynamics._split_grid(times)[1].size == 142
+        s = random_system(2, seed=4, amplitude_mode=mode)
+        ceiling = np.abs(s.amp_a * np.conj(s.amp_b))
+        mags = coherence_magnitudes(s, times)
+        assert np.all(mags >= 0.0)
+        assert np.all(mags <= ceiling * (1 + 1e-12))
+        cond = ceiling[None, :] * 2 * times[:, None] * np.abs(s.couplings).sum(axis=1)
+        every = slice(None, None, 7)
+        diff = np.abs(mags[every] - scalar_magnitudes(s, times[every]))
+        assert np.all(diff <= 1e-14 + 4 * EPS * cond[every])
+
     def test_bounds_and_time_reversal(self):
         s = random_system(50, seed=6, amplitude_mode="random-complex")
         ceiling = np.abs(s.amp_a * np.conj(s.amp_b))

@@ -169,6 +169,18 @@ class TestCouplings:
 
 
 class TestBuildSystem:
+    @pytest.mark.parametrize("separation", [None, 1e-3])
+    def test_couplings_from_placement_distances(self, monkeypatch, separation):
+        # build_system takes the couplings from placement's last distances;
+        # with 1e-3 several candidates are resampled first.
+        if separation is not None:
+            monkeypatch.setattr(model, "MIN_SEPARATION_FACTOR", separation)
+        for d in (1, 2, 3):
+            cfg = SystemConfig(n_particles=200, dimension=d, epsilon=1.5, eta=0.7, rng_seed=d)
+            s = build_system(cfg)
+            assert np.array_equal(s.positions, place_particles(cfg, make_rng(cfg.rng_seed)))
+            assert np.array_equal(s.couplings, build_couplings(s.positions, 0.7, 1.5))
+
     def test_equal_superposition_products(self):
         cfg = SystemConfig(n_particles=7, rng_seed=3)
         s = build_system(cfg)
