@@ -62,13 +62,6 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        # float() first: the repr of a numpy scalar reads np.float64(...).
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(path: Path, meta: dict, columns: list[str], rows) -> None:
     """Write a CSV with `#`-prefixed metadata header lines."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -77,7 +70,7 @@ def write_csv(path: Path, meta: dict, columns: list[str], rows) -> None:
             fh.write(f"# {key}: {value}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _meta(cfg: RunConfig, **extra) -> dict:

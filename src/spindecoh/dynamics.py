@@ -10,7 +10,8 @@ with p_k = |a_k|^2 and q_k = |b_k|^2. Everything here (system coherence
 Xi(t), entropies, trajectory sampling) is built on that product.
 
 `coherence_magnitudes` evaluates |factor|^2 = (p - q)^2 + 4 p q cos^2(2 g t)
-and sums log factors, so no partial product underflows. Since g_lk = g_kl,
+and sums log factors (`_log_decay`, ln(|z_l| / |a_l b_l|)), so no partial
+product underflows; only the final exp can. Since g_lk = g_kl,
 cos^2(2 g_lk t) is the same in both orientations of a pair: the loop runs
 over square tiles I <= J of the coupling matrix, evaluates cos^2 once per
 unordered pair and sample, and adds each tile's row sums of log factors to
@@ -107,10 +108,11 @@ def _phasor_powers(angle: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarra
     return c, s
 
 
-def coherence_magnitudes(system: SpinSystem, times: np.ndarray) -> np.ndarray:
-    """|z_l(t)| for all particles at each time; shape (len(times), N).
-    Square tiles I <= J of the coupling matrix visit each unordered pair
-    once; each temporary holds ~_BLOCK_ELEMENTS."""
+def _log_decay(system: SpinSystem, times: np.ndarray) -> np.ndarray:
+    """ln(|z_l(t)| / |a_l b_l|) = sum_{k != l} ln|factor_lk|, shape
+    (len(times), N); -inf where a factor is exactly 0. Square tiles I <= J
+    of the coupling matrix visit each unordered pair once; each temporary
+    holds ~_BLOCK_ELEMENTS."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n = system.n_particles
     starts, offsets = _split_grid(times)
@@ -166,8 +168,12 @@ def coherence_magnitudes(system: SpinSystem, times: np.ndarray) -> np.ndarray:
                             y += f_t
                             np.log(y, out=y)
                         log_sq[blocks, :, cols] += ones[:bi] @ y
-    log_z = 0.5 * log_sq.reshape(-1, n)[:times.size]
-    return np.abs(system.amp_a * np.conj(system.amp_b)) * np.exp(log_z)
+    return 0.5 * log_sq.reshape(-1, n)[:times.size]
+
+
+def coherence_magnitudes(system: SpinSystem, times: np.ndarray) -> np.ndarray:
+    """|z_l(t)| for all particles at each time; shape (len(times), N)."""
+    return np.abs(system.amp_a * np.conj(system.amp_b)) * np.exp(_log_decay(system, times))
 
 
 def particle_entropies(system: SpinSystem, z_abs: np.ndarray) -> np.ndarray:

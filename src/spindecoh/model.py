@@ -6,9 +6,9 @@ derived from an eta / r**epsilon potential (or drawn uniformly at random),
 and per-particle superposition amplitudes (a_k, b_k).
 
 Pairwise data lives in condensed form (one value per pair i < j, the order
-of `scipy.spatial.distance.pdist`): placement tests separations on it,
-`build_system` takes the couplings from placement's last distances, and
-both coupling modes expand it with `squareform`.
+of `scipy.spatial.distance.pdist`): `place_particles` tests separations on
+it and returns its last distances, `build_system` hands them to
+`build_couplings`, and both coupling modes expand it with `squareform`.
 """
 
 from __future__ import annotations
@@ -130,9 +130,15 @@ def box_side(n_particles: int, density: float, dimension: int) -> float:
     return (n_particles / density) ** (1.0 / dimension)
 
 
-def _place(config: SystemConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """place_particles, with the condensed distances of the positions (the
-    last round's, which kept every point)."""
+def place_particles(config: SystemConfig,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw N positions uniformly in the box, resampling any particle that
+    lands closer than MIN_SEPARATION_FACTOR * l to an earlier one. Rounds
+    draw one candidate per missing particle and keep them in draw order, so
+    positions and generator state match drawing one at a time.
+
+    Returns (positions, r): r is the condensed `pdist` of the positions,
+    taken in the last round, which kept every point."""
     n, d = config.n_particles, config.dimension
     side = box_side(n, config.density, d)
     min_sep = MIN_SEPARATION_FACTOR * side
@@ -158,28 +164,16 @@ def _place(config: SystemConfig, rng: np.random.Generator) -> tuple[np.ndarray, 
     return positions, r
 
 
-def place_particles(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw N positions uniformly in the box, resampling any particle that
-    lands closer than MIN_SEPARATION_FACTOR * l to an earlier one. Rounds
-    draw one candidate per missing particle and keep them in draw order, so
-    positions and generator state match drawing one at a time."""
-    return _place(config, rng)[0]
-
-
-def _couplings(r: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
-    """build_couplings from the condensed distances r."""
+def build_couplings(r: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
+    """Coupling matrix g_ij = eta / r_ij**epsilon (symmetric, zero diagonal)
+    from the condensed distances r, e.g. `pdist(positions)`;
+    SingularCouplingError unless every coupling is finite."""
     with np.errstate(divide="ignore", over="ignore"):
         g = eta / r**epsilon
     if not np.all(np.isfinite(g)):
         raise SingularCouplingError(f"coupling eta / r^epsilon is not finite at the "
                                     f"closest pair, r = {r.min():.3g}, epsilon = {epsilon}")
     return squareform(g)
-
-
-def build_couplings(positions: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
-    """Coupling matrix g_ij = eta / |r_i - r_j|**epsilon (symmetric, zero
-    diagonal); SingularCouplingError unless every coupling is finite."""
-    return _couplings(pdist(positions), eta, epsilon)
 
 
 def _draw_amplitudes(config: SystemConfig, rng: np.random.Generator):
@@ -200,9 +194,9 @@ def _draw_amplitudes(config: SystemConfig, rng: np.random.Generator):
 def build_system(config: SystemConfig) -> SpinSystem:
     """Assemble a SpinSystem from a config; deterministic given the seed."""
     rng = make_rng(config.rng_seed)
-    positions, r = _place(config, rng)
+    positions, r = place_particles(config, rng)
     if config.coupling_mode == "potential":
-        couplings = _couplings(r, config.eta, config.epsilon)
+        couplings = build_couplings(r, config.eta, config.epsilon)
     else:
         n = config.n_particles
         couplings = squareform(rng.random(n * (n - 1) // 2))

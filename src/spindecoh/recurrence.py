@@ -62,11 +62,10 @@ def recurrence_time(system: SpinSystem) -> RecurrenceEstimate:
     uniform-random couplings) get an infinite sentinel instead of an error.
     """
     g = system.couplings
-    n = g.shape[0]
-    _check_n(n)
-    # Sort each row excluding the diagonal zero, then take adjacent gaps.
-    off = g[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    off.sort(axis=1)
+    _check_n(g.shape[0])
+    # Couplings are >= 0 and the diagonal is 0, so each sorted row starts
+    # with its diagonal zero; the gaps are taken between the rest.
+    off = np.sort(g, axis=1)[:, 1:]
     freqs = 2.0 * np.diff(off, axis=1).min(axis=1)
     min_gap = float(np.diff(np.sort(freqs)).min())
     degenerate = bool(min_gap == 0.0 or np.any(freqs == 0.0))

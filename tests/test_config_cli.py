@@ -2,6 +2,7 @@ import argparse
 import importlib
 import importlib.util
 import inspect
+import json
 import math
 import os
 import re
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import spindecoh
-from spindecoh import cli, config, dynamics, estimation, oracle, recurrence
+from spindecoh import cli, config, dynamics, estimation, model, oracle, recurrence
 from spindecoh.cli import build_parser, main
 from spindecoh.config import (
     ConfigParseError,
@@ -625,7 +626,8 @@ class TestPublicSurface:
             recurrence: ("particle_frequency",),
             oracle: ("mutual_information", "PurityError"),
             config: ("validate", "_LIST_RULES"),
-            cli: ("_sweep_cells",),
+            cli: ("_sweep_cells", "_fmt"),
+            model: ("_place", "_couplings"),
         }
         for module, names in removed.items():
             for name in names:
@@ -639,6 +641,19 @@ class TestPublicSurface:
         assert not hasattr(dynamics, "_grid_size")
         params = inspect.signature(spindecoh.sample_trajectory).parameters
         assert not {"n_samples", "include_coherences", "include_entropy"} & set(params)
+
+    def test_benchmark_layers_are_public_functions(self):
+        # Per-layer metrics read module.function.metric; the tracer times only
+        # public functions, so a layer named after anything else reads 0.
+        bench = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+        layers = {tuple(m["name"].split(".")[:2]) for m in bench["per_layer"]
+                  if m["name"].count(".") >= 2}
+        assert ("model", "place_particles") in layers
+        for module_name, name in sorted(layers):
+            module = importlib.import_module(f"spindecoh.{module_name}")
+            obj = getattr(module, name, None)
+            assert not name.startswith("_") and inspect.isfunction(obj), f"{module_name}.{name}"
+            assert obj.__module__ == module.__name__, f"{module_name}.{name}"
 
     def test_readme_library_table_matches_modules(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -474,18 +474,34 @@ class TestExactLaws:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
     def test_jensen_typical_level(self, mode, seed):
-        # Jensen's formula: the mean over phi of ln|p + q e^{i phi}| is
-        # ln max(p, q), so the long-time mean of ln|z_l| is
-        # ln|a_l b_l| + sum_{k != l} ln max(p_k, q_k). The grid starts at 0
-        # so the kernel's uniform-grid split applies; [50, 100] is sliced.
+        # Long-time mean of ln|z_l| (see assert_jensen_level). The grid starts
+        # at 0 so the kernel's uniform-grid split applies; [50, 100] is sliced.
         system = random_system(200, seed, amplitude_mode=mode)
         times = 0.05 * np.arange(2001)
         got = np.log(coherence_magnitudes(system, times)[times >= 50.0]).mean(axis=0)
-        p, q = np.abs(system.amp_a) ** 2, np.abs(system.amp_b) ** 2
-        log_max = np.log(np.maximum(p, q))
-        want = np.log(np.abs(system.amp_a * system.amp_b)) + log_max.sum() - log_max
-        assert abs(got.mean() - want.mean()) <= 2e-3 * abs(want.mean())
-        assert np.all(np.abs(got - want) <= 0.02 * np.abs(want))
+        assert_jensen_level(system, got)
+
+    @pytest.mark.parametrize("n, mode", [(1000, "equal-superposition"),
+                                         (1000, "random-complex"),
+                                         (2000, "equal-superposition")])
+    def test_jensen_typical_level_large_n(self, n, mode):
+        # The same law past the range of |z_l|: at N = 2000 every |z_l(t)|
+        # for t >= 50 underflows to 0, so the kernel's log sums are tested.
+        system = random_system(n, 1, amplitude_mode=mode)
+        times = 0.5 * np.arange(201)
+        log_decay = dynamics._log_decay(system, times)[times >= 50.0].mean(axis=0)
+        assert_jensen_level(system, np.log(np.abs(system.amp_a * system.amp_b)) + log_decay)
+
+
+def assert_jensen_level(system, got):
+    """Jensen's formula: the mean over phi of ln|p + q e^{i phi}| is
+    ln max(p, q), so the long-time mean of ln|z_l| is
+    ln|a_l b_l| + sum_{k != l} ln max(p_k, q_k); got holds the means."""
+    p, q = np.abs(system.amp_a) ** 2, np.abs(system.amp_b) ** 2
+    log_max = np.log(np.maximum(p, q))
+    want = np.log(np.abs(system.amp_a * system.amp_b)) + log_max.sum() - log_max
+    assert abs(got.mean() - want.mean()) <= 2e-3 * abs(want.mean())
+    assert np.all(np.abs(got - want) <= 0.02 * np.abs(want))
 
 
 def permuted(system, perm):

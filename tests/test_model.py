@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from spindecoh import model
 from spindecoh.model import (
@@ -82,14 +83,14 @@ class TestBoxSide:
 class TestPlacement:
     def test_single_particle_inside_box(self):
         cfg = SystemConfig(n_particles=1, dimension=2, density=4.0, rng_seed=9)
-        pos = place_particles(cfg, make_rng(cfg.rng_seed))
+        pos, _ = place_particles(cfg, make_rng(cfg.rng_seed))
         side = box_side(1, 4.0, 2)
         assert pos.shape == (1, 2)
         assert np.all(pos >= 0) and np.all(pos < side)
 
     def test_all_pairs_separated(self):
         cfg = SystemConfig(n_particles=100, dimension=3, density=1.0, rng_seed=4)
-        pos = place_particles(cfg, make_rng(cfg.rng_seed))
+        pos, _ = place_particles(cfg, make_rng(cfg.rng_seed))
         diff = pos[:, None, :] - pos[None, :, :]
         r = np.linalg.norm(diff, axis=2)
         off = r[~np.eye(100, dtype=bool)]
@@ -98,8 +99,8 @@ class TestPlacement:
 
     def test_deterministic(self):
         cfg = SystemConfig(n_particles=20, dimension=3, density=2.0, rng_seed=77)
-        p1 = place_particles(cfg, make_rng(cfg.rng_seed))
-        p2 = place_particles(cfg, make_rng(cfg.rng_seed))
+        p1, _ = place_particles(cfg, make_rng(cfg.rng_seed))
+        p2, _ = place_particles(cfg, make_rng(cfg.rng_seed))
         assert np.array_equal(p1, p2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -109,7 +110,7 @@ class TestPlacement:
         monkeypatch.setattr(model, "MIN_SEPARATION_FACTOR", 1e-3)
         cfg = SystemConfig(n_particles=200, dimension=1, rng_seed=seed)
         rng, ref_rng = make_rng(seed), make_rng(seed)
-        pos = place_particles(cfg, rng)
+        pos, _ = place_particles(cfg, rng)
         assert np.array_equal(pos, _sequential_placement(cfg, ref_rng))
         assert rng.random() == ref_rng.random()
         first_draws = make_rng(seed).random((200, 1)) * box_side(200, 1.0, 1)
@@ -128,18 +129,18 @@ class TestPlacement:
 class TestCouplings:
     def test_inverse_distance(self):
         pos = np.array([[0.0], [2.0]])
-        g = build_couplings(pos, eta=1.0, epsilon=1.0)
+        g = build_couplings(pdist(pos), eta=1.0, epsilon=1.0)
         assert g[0, 1] == pytest.approx(0.5)
         assert g[0, 0] == 0.0 and g[1, 1] == 0.0
 
     def test_inverse_square(self):
         pos = np.array([[0.0], [2.0]])
-        g = build_couplings(pos, eta=1.0, epsilon=2.0)
+        g = build_couplings(pdist(pos), eta=1.0, epsilon=2.0)
         assert g[0, 1] == pytest.approx(0.25)
 
     def test_collinear_triple(self):
         pos = np.array([[0.0], [1.0], [3.0]])
-        g = build_couplings(pos, eta=1.0, epsilon=1.0)
+        g = build_couplings(pdist(pos), eta=1.0, epsilon=1.0)
         assert g[0, 1] == pytest.approx(1.0)
         assert g[0, 2] == pytest.approx(1.0 / 3.0)
         assert g[1, 2] == pytest.approx(0.5)
@@ -148,13 +149,13 @@ class TestCouplings:
     def test_matches_broadcast_formula(self, d):
         pos = make_rng(d).random((60, d)) * 4.0
         for epsilon in (1.0, 2.5):
-            assert np.array_equal(build_couplings(pos, 1.7, epsilon),
+            assert np.array_equal(build_couplings(pdist(pos), 1.7, epsilon),
                                   _broadcast_couplings(pos, 1.7, epsilon))
 
     def test_coincident_particles_rejected(self):
         pos = np.array([[1.0], [1.0]])
         with pytest.raises(ValueError):
-            build_couplings(pos, eta=1.0, epsilon=1.0)
+            build_couplings(pdist(pos), eta=1.0, epsilon=1.0)
 
     def test_exact_symmetry(self):
         cfg = SystemConfig(n_particles=40, dimension=3, density=1.0, rng_seed=13)
@@ -178,8 +179,21 @@ class TestBuildSystem:
         for d in (1, 2, 3):
             cfg = SystemConfig(n_particles=200, dimension=d, epsilon=1.5, eta=0.7, rng_seed=d)
             s = build_system(cfg)
-            assert np.array_equal(s.positions, place_particles(cfg, make_rng(cfg.rng_seed)))
-            assert np.array_equal(s.couplings, build_couplings(s.positions, 0.7, 1.5))
+            assert np.array_equal(s.positions, place_particles(cfg, make_rng(cfg.rng_seed))[0])
+            assert np.array_equal(s.couplings, build_couplings(pdist(s.positions), 0.7, 1.5))
+
+    @pytest.mark.parametrize("mode, coupling_calls", [("potential", 1), ("uniform-random", 0)])
+    def test_runs_public_build_steps(self, monkeypatch, mode, coupling_calls):
+        # build_system reaches both steps through their module names, so
+        # anything that rebinds them (a tracer, a test double) sees each call.
+        calls = []
+        for name in ("place_particles", "build_couplings"):
+            def spy(*args, _name=name, _real=getattr(model, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(model, name, spy)
+        build_system(SystemConfig(n_particles=20, coupling_mode=mode, rng_seed=4))
+        assert calls == ["place_particles"] + ["build_couplings"] * coupling_calls
 
     def test_equal_superposition_products(self):
         cfg = SystemConfig(n_particles=7, rng_seed=3)
