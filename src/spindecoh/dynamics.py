@@ -18,10 +18,12 @@ unordered pair and sample, and adds each tile's row sums of log factors to
 rows I and its column sums to rows J. The log factor takes the terms of
 the other particle, so it is the same in both orientations only when every
 particle has the same (p, q) (equal superposition); then one log serves
-the pair, otherwise each orientation takes its own.
+the pair, and with p = q = 1/2 the squared factor is cos^2 itself.
+Otherwise each orientation takes its own log.
 
 On a uniform grid t = t_0 + (b K + j) step of T times, blocks of
-K = ceil(sqrt(T)) samples split each angle as A_b + B_j, and
+K = ceil(sqrt(T)) samples (the last one stopping at the last sample)
+split each angle as A_b + B_j, and
 cos(A + B) = cos A cos B - sin A sin B. The phasors come by rotation, not
 by cos/sin: per tile, e^{i 2g step} and e^{i 2g K step} take one direct
 cos and sin each, e^{i 2g t_0} two more when t_0 != 0, and the powers
@@ -88,9 +90,14 @@ def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return times, np.zeros(1)
 
 
-def _turn(c, s, w_c, w_s):
-    """(c + i s)(w_c + i w_s) as its real and imaginary parts."""
-    return c * w_c - s * w_s, s * w_c + c * w_s
+def _turn(c, s, w_c, w_s, out_c, out_s, tmp):
+    """(c + i s)(w_c + i w_s) written to (out_c, out_s), which must not
+    overlap c or s; tmp holds one product."""
+    np.multiply(c, w_c, out=out_c)
+    out_c -= np.multiply(s, w_s, out=tmp)
+    np.multiply(s, w_c, out=out_s)
+    out_s += np.multiply(c, w_s, out=tmp)
+    return out_c, out_s
 
 
 def _phasor_powers(angle: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,10 +107,13 @@ def _phasor_powers(angle: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarra
     c[0], s[0] = 1.0, 0.0
     if count > 1:
         c[1], s[1] = np.cos(angle), np.sin(angle)
+    w_c, w_s = np.empty((2,) + angle.shape)
+    tmp = np.empty((count // 2,) + angle.shape)
     j = 2
     while j < count:
         m = min(j, count - j)
-        c[j:j + m], s[j:j + m] = _turn(c[:m], s[:m], *_turn(c[j - 1], s[j - 1], c[1], s[1]))
+        _turn(c[j - 1], s[j - 1], c[1], s[1], w_c, w_s, tmp[0])  # e^{i j angle}
+        _turn(c[:m], s[:m], w_c, w_s, c[j:j + m], s[j:j + m], tmp[:m])
         j += m
     return c, s
 
@@ -123,10 +133,17 @@ def _log_decay(system: SpinSystem, times: np.ndarray) -> np.ndarray:
     scale = 4.0 * p * q  # |factor|^2 = scale cos^2 + floor
     floor = (p - q) ** 2
     shared = bool(np.all(p == p[0]))  # then one log serves both orientations
+    unit = shared and scale[0] == 1.0 and floor[0] == 0.0  # then |factor|^2 = cos^2
     b = max(1, min(n, int(np.sqrt(_BLOCK_ELEMENTS / k))))
     per_chunk = max(1, _BLOCK_ELEMENTS // (k * b * b))
     ones = np.ones(b)  # tile row and column sums as matrix-vector products
     log_sq = np.zeros((starts.size, k, n))
+    # (first start, end start, samples per start); the last block stops at
+    # the grid's last sample.
+    full, rest = divmod(times.size, k)
+    chunks = [(b0, min(b0 + per_chunk, full), k) for b0 in range(0, full, per_chunk)]
+    if rest:
+        chunks.append((full, full + 1, rest))
     with np.errstate(divide="ignore"):  # an exact zero factor gives log 0 = -inf
         for i0 in range(0, n, b):
             for j0 in range(i0, n, b):
@@ -143,31 +160,34 @@ def _log_decay(system: SpinSystem, times: np.ndarray) -> np.ndarray:
                     cos_a, sin_a = _phasor_powers(k * offsets[1] * g2, starts.size)
                     if starts[0] != 0.0:
                         ang = starts[0] * g2
-                        cos_a, sin_a = _turn(cos_a, sin_a, np.cos(ang), np.sin(ang))
+                        cos_a, sin_a = _turn(cos_a, sin_a, np.cos(ang), np.sin(ang),
+                                             *np.empty((3,) + cos_a.shape))
                 buf_c, buf_y = np.empty((2, per_chunk, k, bi, bj))
-                for b0 in range(0, starts.size, per_chunk):
-                    blocks = slice(b0, b0 + per_chunk)
-                    m = starts[blocks].size
-                    c = buf_c[:m]
+                for b0, b1, r in chunks:
+                    blocks, m = slice(b0, b1), b1 - b0
+                    c = buf_c[:m, :r]
                     if uniform:  # cos(A + B_j) = cos A cos B_j - sin A sin B_j
-                        np.multiply(cos_a[blocks, None], cos_b, out=c)
-                        c -= np.multiply(sin_a[blocks, None], sin_b, out=buf_y[:m])
+                        np.multiply(cos_a[blocks, None], cos_b[:r], out=c)
+                        c -= np.multiply(sin_a[blocks, None], sin_b[:r], out=buf_y[:m, :r])
                     else:
                         np.cos(starts[blocks, None, None, None] * g2, out=c)
                     c *= c  # cos^2(2 g (A + B_j)), shared by both orientations
-                    y = np.multiply(c, s, out=buf_y[:m])
-                    y += f
-                    np.log(y, out=y)
+                    if unit:
+                        y = np.log(c, out=c)
+                    else:
+                        y = np.multiply(c, s, out=buf_y[:m, :r])
+                        y += f
+                        np.log(y, out=y)
                     if i0 == j0:  # the k = l factor is 1
-                        y.reshape(m, k, -1)[..., ::bi + 1] = 0.0
-                    log_sq[blocks, :, rows] += y @ ones[:bj]
+                        y.reshape(m, r, -1)[..., ::bi + 1] = 0.0
+                    log_sq[blocks, :r, rows] += y @ ones[:bj]
                     if i0 != j0:
                         if not shared:
                             y = c
                             y *= s_t
                             y += f_t
                             np.log(y, out=y)
-                        log_sq[blocks, :, cols] += ones[:bi] @ y
+                        log_sq[blocks, :r, cols] += ones[:bi] @ y
     return 0.5 * log_sq.reshape(-1, n)[:times.size]
 
 

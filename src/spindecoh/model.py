@@ -94,6 +94,16 @@ class SystemConfig:
             raise ValueError(f"unknown amplitude_mode {self.amplitude_mode!r}")
         if self.coupling_mode not in COUPLING_MODES:
             raise ValueError(f"unknown coupling_mode {self.coupling_mode!r}")
+        if self.coupling_mode == "potential":
+            # No pair is placed closer than this, so no coupling exceeds the bound.
+            closest = MIN_SEPARATION_FACTOR * side
+            with np.errstate(divide="ignore", over="ignore"):
+                bound = np.divide(self.eta, np.power(closest, self.epsilon))
+            if not np.isfinite(bound):
+                raise ValueError(
+                    f"coupling eta / r^epsilon is not finite at the minimum separation "
+                    f"r = {closest:.3g}, epsilon = {self.epsilon} (a conservative check: "
+                    f"particles may all land farther apart)")
 
 
 @dataclass(frozen=True)

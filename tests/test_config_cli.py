@@ -484,10 +484,13 @@ class TestPlanCheckedBeforeBuild:
          "exceeds the element cap"),
         (["sweep"], "d = 1\nrho_list = 1, 1e300\nu = 2\n", "box side"),
         (["recurrence"], "d = 1\nrho_list = 1, 1e300\nu = 2\n", "box side"),
+        # At rho = 1e100 the minimum separation to the 4th power underflows to 0.
+        (["sweep"], "n = 3\nd = 1\nepsilon = 4\nrho_list = 1, 1e100\nu = 2\n",
+         "coupling eta / r^epsilon is not finite"),
         # The N = 200 cell is fine; N = 2 has no coupling gaps.
         (["recurrence"], "n_list = 200, 2\nu = 5\n", "need N >= 3 for coupling gaps"),
     ], ids=["simulate", "oracle-check", "sweep", "fit-scaling", "sweep-box", "recurrence-box",
-            "recurrence-small-n"])
+            "sweep-couplings", "recurrence-small-n"])
     def test_whole_plan_checked_first(self, tmp_path, capsys, builds, argv, lines, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(lines)

@@ -84,7 +84,7 @@ class TestEvolve:
     @pytest.mark.parametrize("amplitude_mode", ["equal-superposition", "random-complex"])
     @pytest.mark.parametrize("coupling_mode", ["potential", "uniform-random"])
     def test_matches_einsum_energies(self, amplitude_mode, coupling_mode):
-        for n in (2, 5, 10):
+        for n in range(2, oracle.PARTICLE_CAP + 1):
             s = random_system(n, seed=20 + n, amplitude_mode=amplitude_mode,
                               coupling_mode=coupling_mode)
             psi0 = evolve(s, 0.0)
@@ -140,6 +140,17 @@ class TestReduce:
             rho = reduce_particle(psi, l)
             rho_rev = reduce_particle(psi_rev, n - 1 - l)
             assert np.allclose(rho, rho_rev, atol=1e-12)
+
+    @pytest.mark.parametrize("amplitude_mode", ["equal-superposition", "random-complex"])
+    def test_matches_einsum_at_cap(self, amplitude_mode):
+        n = oracle.PARTICLE_CAP
+        s = random_system(n, seed=13, amplitude_mode=amplitude_mode,
+                          coupling_mode="uniform-random")
+        psi = evolve(s, 4.2)
+        for l in range(n):
+            halves = psi.reshape(2**l, 2, -1)
+            want = np.einsum("aib,ajb->ij", halves, halves.conj())
+            assert np.abs(reduce_particle(psi, l) - want).max() <= 1e-14
 
     def test_rejects_bad_state(self):
         with pytest.raises(ValueError):
@@ -211,7 +222,7 @@ class TestCompare:
     @pytest.mark.parametrize("coupling_mode", ["potential", "uniform-random"])
     def test_matches_per_time_loop(self, amplitude_mode, coupling_mode):
         rng = np.random.default_rng(11)
-        for n in range(2, 11):
+        for n in range(2, oracle.PARTICLE_CAP + 1):
             s = random_system(n, seed=30 + n, amplitude_mode=amplitude_mode,
                               coupling_mode=coupling_mode)
             times = rng.random(6) * 100.0
@@ -227,6 +238,13 @@ class TestCompare:
         s = random_system(15, seed=3)
         with pytest.raises(ParticleCapError):
             compare(s, [1.0])
+
+    def test_scalar_time(self):
+        s = random_system(5, seed=14, amplitude_mode="random-complex")
+        got = compare(s, 2.5)
+        for g, w in zip(got, compare(s, [2.5])):
+            assert g.shape == (1,)
+            assert np.array_equal(g, w)
 
     def test_detects_wrong_kernel(self, monkeypatch):
         s = random_system(6, seed=12, amplitude_mode="random-complex")
