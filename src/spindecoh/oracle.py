@@ -16,6 +16,8 @@ only the phase and each particle's coherence at each check time.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .dynamics import coherence_magnitudes, particle_entropies
@@ -35,14 +37,19 @@ class ParticleCapError(ValueError):
     """System too large for brute-force state-vector evolution."""
 
 
+@functools.lru_cache(maxsize=1)
 def _spin_signs(n: int) -> np.ndarray:
     """(2^n, n) matrix of +/-1: sign of particle k in each basis state.
 
     Particle 0 owns the most significant bit; bit 0 maps to +1 (state |+>).
+    The table is cached for the last n and read-only, so a loop of `evolve`
+    calls over one system builds it once.
     """
     idx = np.arange(2**n)[:, None]
     bits = (idx >> (n - 1 - np.arange(n))) & 1
-    return 1.0 - 2.0 * bits
+    signs = 1.0 - 2.0 * bits
+    signs.flags.writeable = False
+    return signs
 
 
 def _check_cap(n: int) -> None:

@@ -1,3 +1,6 @@
+import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -131,6 +134,11 @@ class TestEigenvalues:
         s = random_system(3, seed=1)
         with pytest.raises(RadicandError):
             particle_entropies(s, np.full(3, 0.6))
+
+    def test_rejects_nan_radicand(self):
+        s = random_system(3, seed=1)
+        with pytest.raises(RadicandError):
+            particle_entropies(s, np.array([np.nan, 0.1, 0.1]))
 
 
 class TestEntropy:
@@ -326,10 +334,15 @@ def one_differs(n, seed):
     return make_custom_system(base.couplings, amp_a, amp_b)
 
 
-def tile_size(times):
-    """The kernel's tile side for this time grid."""
-    k = dynamics._split_grid(np.asarray(times, dtype=float))[1].size
-    return int(np.sqrt(dynamics._BLOCK_ELEMENTS / k))
+def kernel_geometry(times, n):
+    """The kernel's tile side, block starts per strip and tile rows per strip
+    for this time grid and N."""
+    starts, offsets = dynamics._split_grid(np.asarray(times, dtype=float))
+    k = offsets.size
+    b = max(1, min(n, int(np.sqrt(dynamics._BLOCK_ELEMENTS / k))))
+    m = max(1, min(starts.size, dynamics._BLOCK_ELEMENTS // (k * b * math.isqrt(b))))
+    h = max(1, min(b, dynamics._BLOCK_ELEMENTS // (k * b * m)))
+    return b, m, h
 
 
 SCATTERED = np.random.default_rng(8).random(7) * 100
@@ -371,7 +384,7 @@ class TestKernel:
     @pytest.mark.parametrize("system", ["equal-superposition", "random-complex", "one-differs"])
     def test_tiles_match_row_blocked(self, system, times):
         # No pairs (N = 1), one tile, a full last tile and a ragged one.
-        b = tile_size(times)
+        b = kernel_geometry(times, sys.maxsize)[0]
         for n in sorted({1, 2, 3, b - 1, b, b + 1, 50, 200}):
             if system == "one-differs":
                 s = one_differs(n, seed=n)
@@ -379,6 +392,52 @@ class TestKernel:
                 s = random_system(n, seed=n, amplitude_mode=system)
             diff = np.abs(coherence_magnitudes(s, times) - row_blocked_magnitudes(s, times))
             assert diff.max() <= 1e-13, (n, diff.max())
+
+    @pytest.mark.parametrize("times", [4.0 * np.arange(26), GRID, SCATTERED],
+                             ids=["26-samples", "2001-samples", "scattered"])
+    @pytest.mark.parametrize("system", ["equal-superposition", "random-complex", "one-differs"])
+    @pytest.mark.parametrize("elements", [1024, 2048])
+    def test_strips_match_row_blocked(self, monkeypatch, elements, system, times):
+        # Small blocks cut N = 50 into several tiles with a ragged last one,
+        # and each diagonal tile into strips of rows; at 1024 elements the
+        # last strip (26 samples, scattered) or chunk of block starts
+        # (2001 samples) is ragged too.
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", elements)
+        n = 50
+        b, _, h = kernel_geometry(times, n)
+        assert h < b < n and n % b
+        if system == "one-differs":
+            s = one_differs(n, seed=3)
+        else:
+            s = random_system(n, seed=3, amplitude_mode=system)
+        diff = np.abs(coherence_magnitudes(s, times) - row_blocked_magnitudes(s, times))
+        assert diff.max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_no_times(self, n):
+        s = random_system(n, seed=2, amplitude_mode="random-complex")
+        assert coherence_magnitudes(s, []).shape == (0, n)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_times(self, bad):
+        s = random_system(5, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                coherence_magnitudes(s, [0.0, bad])
+
+    def test_peak_memory(self):
+        # 7.8 MB is what the broadcast kernel held for this call; tile-sized
+        # operand copies would exceed it.
+        s = random_system(200, seed=1)
+        dynamics._log_decay(s, GRID)
+        tracemalloc.start()
+        try:
+            dynamics._log_decay(s, GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.8e6
 
     @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
     @pytest.mark.parametrize("times", [10.0 + GRID, -GRID, 30.0 - 0.05 * np.arange(1001)],

@@ -81,6 +81,19 @@ class TestEvolve:
         with pytest.raises(ParticleCapError):
             evolve(s, 1.0)
 
+    def test_cached_signs_match_uncached(self, monkeypatch):
+        states = {}
+        for n in range(2, oracle.PARTICLE_CAP + 1):
+            s = random_system(n, seed=40 + n, amplitude_mode="random-complex")
+            states[n] = (s, evolve(s, 3.7))
+            assert oracle._spin_signs(n) is oracle._spin_signs(n)
+        table = oracle._spin_signs(oracle.PARTICLE_CAP)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        monkeypatch.setattr(oracle, "_spin_signs", oracle._spin_signs.__wrapped__)
+        for s, cached in states.values():
+            assert np.array_equal(evolve(s, 3.7), cached)
+
     @pytest.mark.parametrize("amplitude_mode", ["equal-superposition", "random-complex"])
     @pytest.mark.parametrize("coupling_mode", ["potential", "uniform-random"])
     def test_matches_einsum_energies(self, amplitude_mode, coupling_mode):
@@ -238,6 +251,11 @@ class TestCompare:
         s = random_system(15, seed=3)
         with pytest.raises(ParticleCapError):
             compare(s, [1.0])
+
+    def test_rejects_non_finite_times(self):
+        s = random_system(5, seed=14, amplitude_mode="random-complex")
+        with pytest.raises(ValueError, match="finite"):
+            compare(s, [1.0, np.nan])
 
     def test_scalar_time(self):
         s = random_system(5, seed=14, amplitude_mode="random-complex")
