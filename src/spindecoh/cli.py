@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dynamics
 from .config import (
     ConfigParseError,
     ConfigValidationError,
@@ -260,6 +260,9 @@ def cmd_oracle_check(cfg: RunConfig, args) -> int:
         raise ConfigValidationError(f"--times must be >= 1, got {args.times}")
     _positive_finite("tmax", cfg.tmax)
     _check_cap(cfg.n)
+    if args.times * cfg.n > dynamics.MAX_TRAJECTORY_ELEMENTS:
+        raise ConfigValidationError(f"oracle check of {args.times} times x {cfg.n} particles "
+                                    f"exceeds the element cap {dynamics.MAX_TRAJECTORY_ELEMENTS}")
     system = build_system(cfg.system_config())
     rng = make_rng(derive_seed(cfg.seed, 777))
     times = rng.random(args.times) * cfg.tmax

@@ -12,53 +12,51 @@ Xi(t), entropies, trajectory sampling) is built on that product.
 `coherence_magnitudes` evaluates |factor|^2 = (p - q)^2 + 4 p q cos^2(2 g t)
 and sums log factors (`_log_decay`, ln(|z_l| / |a_l b_l|)), so no partial
 product underflows; only the final exp can. Since g_lk = g_kl,
-cos^2(2 g_lk t) is the same in both orientations of a pair: the loop runs
-over square tiles I <= J of the coupling matrix and evaluates cos^2 once
-per unordered pair and sample. The log factor takes the terms of the other
-particle, so it is the same in both orientations only when every particle
-has the same (p, q) (equal superposition); then one log serves the pair,
-and with p = q = 1/2 the squared factor is cos^2 itself. Otherwise each
-orientation takes its own log.
+cos^2(2 g_lk t) is the same in both orientations of a pair: the loop visits
+each unordered pair once and evaluates cos^2 once per pair and sample. The
+log factor takes the terms of the other particle; when every particle has
+p = q = 1/2 (equal superposition) the squared factor is cos^2 itself and
+one log serves the pair. Otherwise each orientation takes its own log.
 
 On a uniform grid t = t_0 + (b K + j) step of T times, blocks of
 K = ceil(sqrt(T)) samples split each angle as A_b + B_j (the last block is
 computed in full and its samples past the grid dropped). Per pair, the
 (b, j) block of cos(A_b + B_j) = cos A cos B - sin A sin B is a rank-2
-outer product, [cos A_b, sin A_b] . [cos B_j; -sin B_j]. A tile is
-evaluated pair-major in strips of h tile rows x m block starts, and each
-strip's product is one batched `np.matmul` of per-pair (m x 2)(2 x K)
-operands. The block-start operand is read in place from the tile's
-count-first table of e^{i A}; the offsets' operand is copied pair-major
-from the table of e^{-i B} once per strip, because BLAS takes that side
-only with contiguous rows. Then come the square, the log (or
-scale c^2 + floor and the log, per orientation), and the strip's row and
-column sums as `ones @ y`, added to rows I and rows J. A strip of a
-diagonal tile takes columns only from its own first row on: its h x h
-corner is evaluated in both orientations and reaches its rows through the
-row sums, and the columns past the corner take the other orientation, so
-of a diagonal tile only those corners are evaluated twice. Sums go to an
-(N, T) accumulator, whose rows take contiguous adds; the final 0.5 scale
-writes it transposed to (T, N).
+outer product, [cos A_b, sin A_b] . [cos B_j; -sin B_j]. The loop runs
+over strips of h rows; a strip takes its pairs (l, k >= l) in chunks of w
+columns, and each chunk's S block starts in chunks of m. Per chunk of
+starts, the product is one batched `np.matmul` of per-pair (m x 2)(2 x K)
+operands. The start operand is read in place from the chunk's count-first
+table of e^{i A}; the offsets' operand is copied pair-major from the table
+of e^{-i B} once per chunk, because BLAS takes that side only with
+contiguous rows. Then come the square, the log (or scale c^2 + floor and
+the log, per orientation), and the row and column sums as `ones @ y`,
+added to the strip's rows and the chunk's columns. A strip's first chunk
+starts at its own first row: its h x h corner is evaluated in both
+orientations and reaches its rows through the row sums, and the columns
+past the corner take the other orientation, so only the corners are
+evaluated twice. Sums go to an (N, T) accumulator, whose rows take
+contiguous adds; the final 0.5 scale writes it transposed to (T, N).
 
 Measured on a 2-core Xeon (numpy 2.4, OpenBLAS, one thread), per pair
-entry at N = 200 and 2001 samples: product 0.6 ns (three broadcast passes
-took 2.2), square 0.3, log 1.2, row and column sums 0.3 and 0.6. At
-N = 1000 and 26 samples a per-pair matmul holds only 30 entries and its
-call costs about 30 ns, so the product costs 1.5 ns per entry there.
+entry at N = 200 and 2001 samples: product 0.6 ns, square 0.3, log 1.2,
+row and column sums 0.3 and 0.6. At N = 1000 and 26 samples a per-pair
+matmul holds only 30 entries and its call costs about 30 ns, so the
+product costs 1.5 ns per entry there.
 
-The phasors come by rotation, not by cos/sin: per tile, e^{-i 2g step} and
-e^{i 2g K step} take one complex exp each (cos and sin at once), e^{i 2g t_0}
-one more when t_0 != 0, and the powers e^{-i 2g j step} and e^{i 2g b K step}
-are complex products. So each unordered pair costs 2 exps per tile (3
-when t_0 != 0), whatever T, where an exp takes 30-40 ns per element
-against under 1 ns for a multiply and 1-2 ns for a log. Rotation adds
-rounding of about K + S ulps to a phase, S being the number of block
-starts; a direct cos already carries |2 g t| eps from its argument. Other
-times (K = 1) use the same loop with a direct cos per start and an
+The phasors come by rotation, not by cos/sin: per chunk, e^{-i 2g step}
+and e^{i 2g K step} take one complex exp each (cos and sin at once),
+e^{i 2g t_0} one more when t_0 != 0, and the powers e^{-i 2g j step} and
+e^{i 2g b K step} are complex products. So each unordered pair costs 2
+exps (3 when t_0 != 0), whatever T, where an exp takes 30-40 ns per
+element against under 1 ns for a multiply and 1-2 ns for a log. Rotation
+adds rounding of about K + S ulps to a phase; a direct cos already carries
+|2 g t| eps from its argument. Other times (K = 1) take a direct cos per
+start and pair, written into the real part of the start table, and an
 offset operand of [1; 0].
 
 BLAS evaluates each per-pair product with fused multiply-adds, and the
-strips sum in their own order, so outputs differ from a broadcast product
+chunks sum in their own order, so outputs differ from a broadcast product
 in the last bits; they repeat bit for bit across processes, heap offsets
 and BLAS thread counts.
 """
@@ -133,103 +131,96 @@ def _phasor_powers(angle: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_geometry(n: int, n_starts: int, k: int) -> tuple[int, int, int]:
+    """Columns per chunk w, block starts per chunk m and rows per strip h.
+    A chunk's phasor tables hold max(K, S) x h x w elements, within the
+    budget since h <= w. Block starts take what the budget allows at
+    sqrt(w) rows, then rows take what it leaves: thin strips keep the
+    corners small, long ones keep each per-pair matmul large."""
+    w = max(1, min(n, int(np.sqrt(_BLOCK_ELEMENTS / max(k, n_starts)))))
+    m = max(1, min(n_starts, _BLOCK_ELEMENTS // (k * w * math.isqrt(w))))
+    h = max(1, min(w, _BLOCK_ELEMENTS // (k * w * m)))
+    return w, m, h
+
+
 def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """sum_{k != l} ln|factor_lk|^2 at t = starts[b] + offsets[j], shape
     (N, len(starts) * len(offsets)) with column b K + j; -inf where a factor
-    is exactly 0. Square tiles I <= J of the coupling matrix visit each
-    unordered pair once, in strips of tile rows x block starts; each strip's
-    product cos(A + B) is one batched matmul of per-pair (m x 2)(2 x K)
-    operands, and each temporary holds ~_BLOCK_ELEMENTS."""
+    is exactly 0. Strips of h rows take their pairs (l, k >= l) in chunks of
+    w columns and m block starts, so each unordered pair is visited once;
+    each chunk's product cos(A + B) is one batched matmul of per-pair
+    (m x 2)(2 x K) operands, and each temporary holds ~_BLOCK_ELEMENTS."""
     n, k, n_starts = system.n_particles, offsets.size, starts.size
-    uniform = k > 1
+    step = offsets[1] if k > 1 else 0.0
     p, q = np.abs(system.amp_a) ** 2, np.abs(system.amp_b) ** 2
     p, q = p / (p + q), q / (p + q)
     scale = 4.0 * p * q  # |factor|^2 = scale cos^2 + floor
     floor = (p - q) ** 2
-    shared = bool(np.all(p == p[0]))  # then one log serves both orientations
-    unit = shared and scale[0] == 1.0 and floor[0] == 0.0  # then |factor|^2 = cos^2
-    b = max(1, min(n, int(np.sqrt(_BLOCK_ELEMENTS / k))))  # tile side
-    # Block starts per strip as the budget allows at sqrt(b) tile rows, then
-    # as many rows as it leaves: thin strips keep a diagonal tile's corners
-    # small, long ones keep each per-pair matmul large.
-    m = max(1, min(n_starts, _BLOCK_ELEMENTS // (k * b * math.isqrt(b))))
-    h = max(1, min(b, _BLOCK_ELEMENTS // (k * b * m)))  # tile rows per strip
-    ones = np.ones(b)  # strip row and column sums as matrix-vector products
+    unit = bool(np.all(scale == 1.0) and np.all(floor == 0.0))  # then |factor|^2 = cos^2
+    w, m, h = _kernel_geometry(n, n_starts, k)
+    ones = np.ones(w)  # row and column sums as matrix-vector products
     sums = np.zeros((n, n_starts * k))
-    # Buffers shared by every tile and strip. Per pair, the matmul reads the
-    # block starts' [cos A, sin A] rows in place from the count-first table
-    # e^{i A} and the offsets' [cos B; -sin B] from a pair-major copy of e^{-i B}.
-    phase_b = np.empty(k * b * b, dtype=complex)
-    phase_a = np.zeros(n_starts * b * b if uniform else m * h * b, dtype=complex)
-    op_b = np.empty(h * b * 2 * k)
-    prod = np.empty(h * b * m * k)
-    if not shared:  # the row orientation takes the column particle's terms
+    # Per chunk, the matmul reads the block starts' [cos A, sin A] rows in
+    # place from the count-first table e^{i A} and the offsets'
+    # [cos B; -sin B] from a pair-major copy of e^{-i B}.
+    phase_b = np.empty(k * h * w, dtype=complex)
+    phase_a = np.zeros(n_starts * h * w, dtype=complex)
+    op_b = np.empty(h * w * 2 * k)
+    prod = np.empty(h * w * m * k)
+    if not unit:  # the row orientation takes the column particle's terms
         y_row = np.empty_like(prod)
-        scale_cols, floor_cols = np.empty((2, b, m * k))
+        scale_cols = np.repeat(scale[:, None], m * k, axis=1)
+        floor_cols = np.repeat(floor[:, None], m * k, axis=1)
     with np.errstate(divide="ignore"):  # an exact zero factor gives log 0 = -inf
-        for i0 in range(0, n, b):
-            for j0 in range(i0, n, b):
-                i1, j1 = min(i0 + b, n), min(j0 + b, n)
-                g2 = 2.0 * system.couplings[i0:i1, j0:j1]
-                bi, bj = g2.shape
-                if uniform:  # e^{-i 2g B_j}, B_j = j step, and e^{i 2g A_b}, A_b = t_0 + b K step
-                    e_b = _phasor_powers(-offsets[1] * g2, phase_b[:k * bi * bj].reshape(k, bi, bj))
-                    e_a = _phasor_powers(k * offsets[1] * g2,
-                                         phase_a[:n_starts * bi * bj].reshape(n_starts, bi, bj))
+        for i in range(0, n, h):
+            ie = min(i + h, n)
+            hh = ie - i
+            # The first chunk starts at the strip's first row: its hh x hh
+            # corner is evaluated in both orientations and reaches its rows
+            # through the row sums; the columns past it take the other
+            # orientation through the column sums.
+            for c0 in range(i, n, w):
+                c1 = min(c0 + w, n)
+                ww, cut = c1 - c0, max(c0, ie) - c0
+                g2 = 2.0 * system.couplings[i:ie, c0:c1]
+                # e^{-i 2g B_j}, B_j = j step; [1; 0] on scattered times (K = 1)
+                e_b = _phasor_powers(-step * g2, phase_b[:k * hh * ww].reshape(k, hh, ww))
+                e_a = phase_a[:n_starts * hh * ww].reshape(n_starts, hh, ww)
+                if k > 1:  # e^{i 2g A_b}, A_b = t_0 + b K step
+                    _phasor_powers(k * step * g2, e_a)
                     if starts[0] != 0.0:
                         e_a *= np.exp(1j * starts[0] * g2)
-                else:
-                    e_b = np.ones((1, bi, bj), dtype=complex)
-                cs_b = e_b.view(float).reshape(k, bi, bj, 2)  # [cos B, -sin B] per offset and pair
-                if not shared:
-                    scale_cols[:bj] = scale[j0:j1, None]
-                    floor_cols[:bj] = floor[j0:j1, None]
-                for i in range(i0, i1, h):
-                    # A diagonal tile's strip takes columns from its own first
-                    # row on: its h x h corner is evaluated in both
-                    # orientations and reaches its rows through row sums; the
-                    # columns past the corner take the other orientation.
-                    ie = min(i + h, i1)
-                    hh, c0 = ie - i, max(j0, i)
-                    w, cut = j1 - c0, max(j0, ie) - c0
-                    rows, cols = slice(i - i0, ie - i0), slice(c0 - j0, bj)
-                    op = op_b[:hh * w * 2 * k].reshape(hh, w, 2, k)
-                    np.copyto(op, cs_b[:, rows, cols].transpose(1, 2, 3, 0))
-                    for b0 in range(0, n_starts, m):
-                        mb = min(m, n_starts - b0)
-                        x = mb * k
-                        if uniform:
-                            a = e_a[b0:b0 + mb, rows, cols]
-                        else:  # the [1; 0] offset operand leaves sin A unused
-                            a = phase_a[:mb * hh * w].reshape(mb, hh, w)
-                            np.cos(np.multiply.outer(starts[b0:b0 + mb], g2[rows, cols]), out=a.real)
-                        a = a.view(float).reshape(mb, hh, w, 2).transpose(1, 2, 0, 3)
-                        c = np.matmul(a, op, out=prod[:hh * w * x].reshape(hh, w, mb, k))
-                        c *= c  # cos^2(2 g (A + B_j)), shared by both orientations
-                        if unit:
-                            y = np.log(c, out=c)
-                        elif shared:
-                            y = np.multiply(c, scale[0], out=c)
-                            y += floor[0]
+                else:  # cos A only: the [1; 0] offset operand leaves sin A unused
+                    np.cos(np.multiply.outer(starts, g2), out=e_a.real)
+                op = op_b[:hh * ww * 2 * k].reshape(hh, ww, 2, k)
+                np.copyto(op, e_b.view(float).reshape(k, hh, ww, 2).transpose(1, 2, 3, 0))
+                cs_a = e_a.view(float).reshape(n_starts, hh, ww, 2).transpose(1, 2, 0, 3)
+                for b0 in range(0, n_starts, m):
+                    mb = min(m, n_starts - b0)
+                    x = mb * k
+                    c = np.matmul(cs_a[:, :, b0:b0 + mb], op,
+                                  out=prod[:hh * ww * x].reshape(hh, ww, mb, k))
+                    c *= c  # cos^2(2 g (A + B_j)), shared by both orientations
+                    if unit:
+                        y = np.log(c, out=c)
+                    else:
+                        y = np.multiply(c.reshape(hh, ww, x), scale_cols[c0:c1, :x],
+                                        out=y_row[:c.size].reshape(hh, ww, x))
+                        y += floor_cols[c0:c1, :x]
+                        np.log(y, out=y)
+                    y = y.reshape(hh, ww, x)
+                    if c0 == i:  # the k = l factor is 1
+                        y.reshape(hh * ww, x)[::ww + 1] = 0.0
+                    sums[i:ie, b0 * k:b0 * k + x] += ones[:ww] @ y
+                    if cut < ww:
+                        y = y[:, cut:]
+                        if not unit:  # the column orientation takes the row particle's terms
+                            y = c.reshape(hh, ww, x)[:, cut:]
+                            y *= scale[i:ie, None, None]
+                            y += floor[i:ie, None, None]
                             np.log(y, out=y)
-                        else:
-                            y = np.multiply(c.reshape(hh, w, x), scale_cols[cols, :x],
-                                            out=y_row[:c.size].reshape(hh, w, x))
-                            y += floor_cols[cols, :x]
-                            np.log(y, out=y)
-                        y = y.reshape(hh, w, x)
-                        if c0 == i:  # the k = l factor is 1
-                            y.reshape(hh * w, x)[::w + 1] = 0.0
-                        sums[i:ie, b0 * k:b0 * k + x] += ones[:w] @ y
-                        if cut < w:
-                            y = y[:, cut:]
-                            if not shared:  # the column orientation takes the row particle's terms
-                                y = c.reshape(hh, w, x)[:, cut:]
-                                y *= scale[i:ie, None, None]
-                                y += floor[i:ie, None, None]
-                                np.log(y, out=y)
-                            sums[c0 + cut:j1, b0 * k:b0 * k + x] += (
-                                ones[:hh] @ y.reshape(hh, -1)).reshape(w - cut, x)
+                        sums[c0 + cut:c1, b0 * k:b0 * k + x] += (
+                            ones[:hh] @ y.reshape(hh, -1)).reshape(ww - cut, x)
     return sums
 
 

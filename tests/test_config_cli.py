@@ -27,16 +27,20 @@ from spindecoh.config import (
 )
 
 
+PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 def _perfbench_workloads():
     """perfbench/workloads.py, which is not an installed package."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH_DIR / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-PERFBENCH_WORKLOADS = _perfbench_workloads()
+PERFBENCH = _perfbench_workloads()
+PERFBENCH_WORKLOADS = PERFBENCH.WORKLOADS
 
 
 class TestParseConfig:
@@ -500,6 +504,17 @@ class TestPlanCheckedBeforeBuild:
         assert err.startswith("error:") and message in err and "\n" not in err, err
         assert builds == [] and not out.exists()
 
+    def test_oracle_check_times_capped(self, tmp_path, capsys, monkeypatch, builds):
+        # The kernel returns --times x N coherences: a huge --times must end
+        # as a validation error, not in an allocation.
+        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_ELEMENTS", 100)
+        out = tmp_path / "out"
+        assert main(["oracle-check", "--n", "10", "--times", "20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "exceeds the element cap 100" in err, err
+        assert "\n" not in err
+        assert builds == [] and not out.exists()
+
 
 class TestOptionTable:
     @pytest.mark.parametrize("subcommand, flag", [
@@ -603,6 +618,27 @@ class TestOptionTable:
             args = build_parser().parse_args(argv)
             if args.config:
                 parse_config(Path(args.config).read_text())
+
+    # One benchmark seed per workload, the one whose outputs sit closest to
+    # its tolerance: scaling-sweep seed 28's tau_std uses 0.4 of it.
+    # recurrence-cells matches its record exactly on every seed, so it takes
+    # the recheck seed.
+    @pytest.mark.parametrize("workload, seed", [
+        ("scaling-sweep", 28), ("recurrence-cells", 27), ("simulate-large-n", 5),
+        ("oracle-check", 29)])
+    def test_benchmark_outputs_match_reference(self, tmp_path, capsys, workload, seed):
+        # The benchmark's own output check, in-process: a last-bit kernel
+        # change that moves a recorded statistic past its tolerance fails here.
+        w = PERFBENCH_WORKLOADS[workload]
+        reference = None
+        if w.has_reference:
+            recorded = json.loads((PERFBENCH_DIR / "reference.json").read_text())[workload]
+            assert recorded["params"] == json.loads(json.dumps(w.params()))
+            reference = recorded["seeds"][str(PERFBENCH.program_seed(seed))]
+        argvs, outs = w.prepare(seed, tmp_path, threads=2)
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        assert w.check(outs, reference)[0] == 0, capsys.readouterr().err
 
     def test_cli_import_leaves_out_scipy_stats(self):
         src = str(Path(spindecoh.__file__).resolve().parents[1])

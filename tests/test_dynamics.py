@@ -1,4 +1,3 @@
-import math
 import sys
 import tracemalloc
 import warnings
@@ -334,15 +333,27 @@ def one_differs(n, seed):
     return make_custom_system(base.couplings, amp_a, amp_b)
 
 
+def unbalanced(n, seed):
+    """Every particle with p = 0.3 and the same q: equal but not balanced
+    superpositions."""
+    base = random_system(n, seed)
+    return make_custom_system(base.couplings, np.full(n, np.sqrt(0.3)),
+                              np.full(n, np.sqrt(0.7) * np.exp(0.4j)))
+
+
+def kernel_system(system, n, seed):
+    if system == "one-differs":
+        return one_differs(n, seed)
+    if system == "unbalanced":
+        return unbalanced(n, seed)
+    return random_system(n, seed=seed, amplitude_mode=system)
+
+
 def kernel_geometry(times, n):
-    """The kernel's tile side, block starts per strip and tile rows per strip
-    for this time grid and N."""
+    """The kernel's columns per chunk, block starts per chunk and rows per
+    strip for this time grid and N, and the grid's block starts."""
     starts, offsets = dynamics._split_grid(np.asarray(times, dtype=float))
-    k = offsets.size
-    b = max(1, min(n, int(np.sqrt(dynamics._BLOCK_ELEMENTS / k))))
-    m = max(1, min(starts.size, dynamics._BLOCK_ELEMENTS // (k * b * math.isqrt(b))))
-    h = max(1, min(b, dynamics._BLOCK_ELEMENTS // (k * b * m)))
-    return b, m, h
+    return (*dynamics._kernel_geometry(n, starts.size, offsets.size), starts.size)
 
 
 SCATTERED = np.random.default_rng(8).random(7) * 100
@@ -381,15 +392,13 @@ class TestKernel:
 
     @pytest.mark.parametrize("times", [4.0 * np.arange(26), GRID, SCATTERED],
                              ids=["26-samples", "2001-samples", "scattered"])
-    @pytest.mark.parametrize("system", ["equal-superposition", "random-complex", "one-differs"])
+    @pytest.mark.parametrize("system", ["equal-superposition", "random-complex", "one-differs",
+                                        "unbalanced"])
     def test_tiles_match_row_blocked(self, system, times):
-        # No pairs (N = 1), one tile, a full last tile and a ragged one.
-        b = kernel_geometry(times, sys.maxsize)[0]
-        for n in sorted({1, 2, 3, b - 1, b, b + 1, 50, 200}):
-            if system == "one-differs":
-                s = one_differs(n, seed=n)
-            else:
-                s = random_system(n, seed=n, amplitude_mode=system)
+        # No pairs (N = 1), one chunk, a full last chunk and a ragged one.
+        w = kernel_geometry(times, sys.maxsize)[0]
+        for n in sorted({1, 2, 3, w - 1, w, w + 1, 50, 200}):
+            s = kernel_system(system, n, seed=n)
             diff = np.abs(coherence_magnitudes(s, times) - row_blocked_magnitudes(s, times))
             assert diff.max() <= 1e-13, (n, diff.max())
 
@@ -398,18 +407,16 @@ class TestKernel:
     @pytest.mark.parametrize("system", ["equal-superposition", "random-complex", "one-differs"])
     @pytest.mark.parametrize("elements", [1024, 2048])
     def test_strips_match_row_blocked(self, monkeypatch, elements, system, times):
-        # Small blocks cut N = 50 into several tiles with a ragged last one,
-        # and each diagonal tile into strips of rows; at 1024 elements the
-        # last strip (26 samples, scattered) or chunk of block starts
-        # (2001 samples) is ragged too.
+        # Small blocks cut N = 50 into several strips, each taking several
+        # column chunks with a ragged last one, and a uniform grid's block
+        # starts into several chunks. Scattered times always fit one chunk
+        # of starts: their table holds every start within the budget.
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", elements)
         n = 50
-        b, _, h = kernel_geometry(times, n)
-        assert h < b < n and n % b
-        if system == "one-differs":
-            s = one_differs(n, seed=3)
-        else:
-            s = random_system(n, seed=3, amplitude_mode=system)
+        w, m, h, n_starts = kernel_geometry(times, n)
+        assert h < n and w < n and n % w
+        assert m == n_starts if times is SCATTERED else m < n_starts
+        s = kernel_system(system, n, seed=3)
         diff = np.abs(coherence_magnitudes(s, times) - row_blocked_magnitudes(s, times))
         assert diff.max() <= 1e-13
 
@@ -426,18 +433,23 @@ class TestKernel:
             with pytest.raises(ValueError, match="finite"):
                 coherence_magnitudes(s, [0.0, bad])
 
-    def test_peak_memory(self):
-        # 7.8 MB is what the broadcast kernel held for this call; tile-sized
-        # operand copies would exceed it.
-        s = random_system(200, seed=1)
-        dynamics._log_decay(s, GRID)
+    # Each bound is an earlier kernel's peak for the call; phasor tables
+    # wider than a chunk of columns exceed the last two.
+    @pytest.mark.parametrize("n, mode, times, bound", [
+        (200, "equal-superposition", GRID, 7.8e6),
+        (1000, "random-complex", 4.0 * np.arange(26), 3.97e6),
+        (300, "random-complex", np.random.default_rng(1).random(500) * 100, 6.69e6),
+    ], ids=["200-2001-samples", "1000-26-samples", "300-500-scattered"])
+    def test_peak_memory(self, n, mode, times, bound):
+        s = random_system(n, seed=1, amplitude_mode=mode)
+        dynamics._log_decay(s, times)
         tracemalloc.start()
         try:
-            dynamics._log_decay(s, GRID)
+            dynamics._log_decay(s, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7.8e6
+        assert peak <= bound
 
     @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
     @pytest.mark.parametrize("times", [10.0 + GRID, -GRID, 30.0 - 0.05 * np.arange(1001)],
