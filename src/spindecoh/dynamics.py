@@ -18,52 +18,71 @@ log factor takes the terms of the other particle; when every particle has
 p = q = 1/2 (equal superposition) the squared factor is cos^2 itself and
 one log serves the pair. Otherwise each orientation takes its own log.
 
-On a uniform grid t = t_0 + (b K + j) step of T times, blocks of
-K = ceil(sqrt(T)) samples split each angle as A_b + B_j (the last block is
-computed in full and its samples past the grid dropped). Per pair, the
-(b, j) block of cos(A_b + B_j) = cos A cos B - sin A sin B is a rank-2
-outer product, [cos A_b, sin A_b] . [cos B_j; -sin B_j]. The loop runs
-over strips of h rows; a strip takes its pairs (l, k >= l) in chunks of w
-columns, and each chunk's S block starts in chunks of m. Per chunk of
-starts, the product is one batched `np.matmul` of per-pair (m x 2)(2 x K)
-operands. The start operand is read in place from the chunk's count-first
-table of e^{i A}; the offsets' operand is copied pair-major from the table
-of e^{-i B} once per chunk, because BLAS takes that side only with
-contiguous rows. Then come the square, the log (or scale c^2 + floor and
-the log, per orientation), and the row and column sums as `ones @ y`,
-added to the strip's rows and the chunk's columns. A strip's first chunk
-starts at its own first row: its h x h corner is evaluated in both
-orientations and reaches its rows through the row sums, and the columns
-past the corner take the other orientation, so only the corners are
-evaluated twice. Sums go to an (N, T) accumulator, whose rows take
-contiguous adds; the final 0.5 scale writes it transposed to (T, N).
+Two loops evaluate the sums, chosen from the grid alone (`_split_grid`).
+Both run over strips of h rows; a strip takes its pairs (l, k >= l) in
+chunks of w columns. A strip's first chunk starts at its own first row:
+its h x h corner is evaluated in both orientations and reaches its rows
+through the row sums, and the columns past the corner take the other
+orientation through the column sums, so only the corners are evaluated
+twice. Row and column sums are matrix-vector products with ones.
 
-Measured on a 2-core Xeon (numpy 2.4, OpenBLAS, one thread), per pair
-entry at N = 200 and 2001 samples: product 0.6 ns, square 0.3, log 1.2,
-row and column sums 0.3 and 0.6. At N = 1000 and 26 samples a per-pair
-matmul holds only 30 entries and its call costs about 30 ns, so the
-product costs 1.5 ns per entry there.
+Uniform grids of more than _ONE_BLOCK samples, t = t_0 + (b K + j) step,
+take blocks of K = ceil(sqrt(T)) samples that split each angle as
+A_b + B_j (the last block is computed in full and its samples past the
+grid dropped). Per pair, the (b, j) block of cos(A_b + B_j) =
+cos A cos B - sin A sin B is a rank-2 outer product,
+[cos A_b, sin A_b] . [cos B_j; -sin B_j], and each chunk's S block starts
+go in chunks of m: per chunk of starts, the product is one batched
+`np.matmul` of per-pair (m x 2)(2 x K) operands. The start operand is
+read in place from the chunk's count-first table of e^{i A}; the offsets'
+operand is copied pair-major from the table of e^{-i B} once per chunk,
+because BLAS takes that side only with contiguous rows. Then come the
+square, the log (or scale c^2 + floor and the log, per orientation) and
+the sums, into an (N, T) accumulator whose rows take contiguous adds; the
+final 0.5 scale writes it transposed to (T, N).
 
-The phasors come by rotation, not by cos/sin: per chunk, e^{-i 2g step}
-and e^{i 2g K step} take one complex exp each (cos and sin at once),
-e^{i 2g t_0} one more when t_0 != 0, and the powers e^{-i 2g j step} and
-e^{i 2g b K step} are complex products. So each unordered pair costs 2
-exps (3 when t_0 != 0), whatever T, where an exp takes 30-40 ns per
-element against under 1 ns for a multiply and 1-2 ns for a log. Rotation
-adds rounding of about K + S ulps to a phase; a direct cos already carries
-|2 g t| eps from its argument. Other times (K = 1) take a direct cos per
-start and pair, written into the real part of the start table, and an
-offset operand of [1; 0].
+Shorter uniform grids and scattered times take one block of all T times:
+per chunk, a time-major (T, h, w) table of cos(2 g t), then the square,
+the log and the sums, row sums as y @ ones and column sums as ones @ y,
+into a (T, N) accumulator that the 0.5 scale turns into the result.
+
+The rank-2 product pays only when both S and K are large. At N = 1000 and
+26 samples a per-pair matmul holds 30 entries (a padded last block) and
+its call costs about 30 ns, so the product costs 1.5 ns per entry; the
+one-block loop builds its table with one complex multiply per entry and no
+matmul call. Measured on a 2-core Xeon (numpy 2.4, OpenBLAS, one thread;
+medians of alternating calls), the one-block loop took 0.6-0.65x the
+rank-2 loop's time at N = 1000 and 26 samples with equal superposition
+and 0.75-0.8x with random-complex amplitudes. Random-complex amplitudes
+broke even at 36-41 samples at N = 200 and at 41-46 at N = 1000, and lost
+1.13-1.21x at 64; equal superposition still won at 64 (0.95-0.98x). Hence
+_ONE_BLOCK = 40. Per pair entry at N = 200 and 2001 samples the rank-2
+loop spends: product 0.6 ns, square 0.3, log 1.2, row and column sums 0.3
+and 0.6.
+
+The phasors come by rotation, not by cos/sin, where an exp takes 30-40 ns
+per element against under 1 ns for a multiply and 1-2 ns for a log. On a
+long grid, e^{-i 2g step} and e^{i 2g K step} take one complex exp each
+per chunk (cos and sin at once), e^{i 2g t_0} one more when t_0 != 0, and
+the powers e^{-i 2g j step} and e^{i 2g b K step} are complex products:
+2 exps per unordered pair (3 when t_0 != 0), whatever T, and about K + S
+ulps of rounding in a phase. On a short grid, e^{i 2g step} takes one exp
+per pair and its T powers are complex products, times e^{i 2g t_0} when
+t_0 != 0: 1 exp per pair (2 when t_0 != 0) and about T ulps. A direct cos
+already carries |2 g t| eps from its argument. Scattered times take a
+direct cos per time and pair.
 
 BLAS evaluates each per-pair product with fused multiply-adds, and the
-chunks sum in their own order, so outputs differ from a broadcast product
-in the last bits; they repeat bit for bit across processes, heap offsets
-and BLAS thread counts.
+sums add chunk by chunk in their own order, so outputs depend on the loop
+and its chunk sizes in the last bits, and more where a factor is near 0;
+they repeat bit for bit across processes, heap offsets and BLAS thread
+counts.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +100,11 @@ MAX_TRAJECTORY_ELEMENTS = 50_000_000
 # Elements in one kernel temporary (time blocks x offsets x rows x N);
 # 64K float64 values keep a block's working set inside L2.
 _BLOCK_ELEMENTS = 65_536
+
+# Uniform grids of at most this many samples take the one-block loop: below
+# it the rank-2 product's per-pair matmuls cost more than they save (the
+# measured crossover is in the module docstring).
+_ONE_BLOCK = 40
 
 
 class RadicandError(ValueError):
@@ -102,18 +126,18 @@ class Trajectory:
     coherences: np.ndarray | None = None
 
 
-def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, offsets) with times[b*K + j] = starts[b] + offsets[j] up to
-    rounding: K = ceil(sqrt(T)) on a uniform grid (padded at the end), else 1.
-    The step is taken over the whole span, so a grid far from 0 whose
-    first difference carries the rounding of its first times is uniform too."""
+def _split_grid(times: np.ndarray) -> tuple[float | None, int]:
+    """(step, K): the step of a uniform grid, None for other times, and the
+    samples per block, K = ceil(sqrt(T)) on a uniform grid of more than
+    _ONE_BLOCK samples, else 1 (one block of every time). The step is taken
+    over the whole span, so a grid far from 0 whose first difference carries
+    the rounding of its first times is uniform too."""
     if times.size > 1:
         step = (times[-1] - times[0]) / (times.size - 1)
         deviation = np.abs(times - (times[0] + step * np.arange(times.size)))
         if np.all(deviation <= 4.0 * np.finfo(float).eps * np.abs(times).max()):
-            k = int(np.ceil(np.sqrt(times.size)))
-            return times[::k], step * np.arange(k)
-    return times, np.zeros(1)
+            return step, int(np.ceil(np.sqrt(times.size))) if times.size > _ONE_BLOCK else 1
+    return None, 1
 
 
 def _phasor_powers(angle: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -132,31 +156,51 @@ def _phasor_powers(angle: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _kernel_geometry(n: int, n_starts: int, k: int) -> tuple[int, int, int]:
-    """Columns per chunk w, block starts per chunk m and rows per strip h.
-    A chunk's phasor tables hold max(K, S) x h x w elements, within the
-    budget since h <= w. Block starts take what the budget allows at
-    sqrt(w) rows, then rows take what it leaves: thin strips keep the
-    corners small, long ones keep each per-pair matmul large."""
+    """Columns per chunk w, block starts per chunk m and rows per strip h;
+    the one-block loop takes (S, K) = (T, 1) and m = T. A chunk's phasor
+    tables hold max(K, S) x h x w elements, within the budget since h <= w.
+    Block starts take what the budget allows at sqrt(w) rows, then rows
+    take what it leaves: thin strips keep the corners small, long ones keep
+    each per-pair matmul large."""
     w = max(1, min(n, int(np.sqrt(_BLOCK_ELEMENTS / max(k, n_starts)))))
     m = max(1, min(n_starts, _BLOCK_ELEMENTS // (k * w * math.isqrt(w))))
     h = max(1, min(w, _BLOCK_ELEMENTS // (k * w * m)))
     return w, m, h
 
 
-def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """sum_{k != l} ln|factor_lk|^2 at t = starts[b] + offsets[j], shape
-    (N, len(starts) * len(offsets)) with column b K + j; -inf where a factor
-    is exactly 0. Strips of h rows take their pairs (l, k >= l) in chunks of
-    w columns and m block starts, so each unordered pair is visited once;
-    each chunk's product cos(A + B) is one batched matmul of per-pair
-    (m x 2)(2 x K) operands, and each temporary holds ~_BLOCK_ELEMENTS."""
-    n, k, n_starts = system.n_particles, offsets.size, starts.size
-    step = offsets[1] if k > 1 else 0.0
+def _factor_terms(system: SpinSystem) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(scale, floor, unit) with |factor_lk|^2 = scale_k cos^2 + floor_k;
+    unit when every particle has p = q = 1/2, so that |factor|^2 = cos^2."""
     p, q = np.abs(system.amp_a) ** 2, np.abs(system.amp_b) ** 2
     p, q = p / (p + q), q / (p + q)
-    scale = 4.0 * p * q  # |factor|^2 = scale cos^2 + floor
+    scale = 4.0 * p * q
     floor = (p - q) ** 2
-    unit = bool(np.all(scale == 1.0) and np.all(floor == 0.0))  # then |factor|^2 = cos^2
+    return scale, floor, bool(np.all(scale == 1.0) and np.all(floor == 0.0))
+
+
+def _strip_chunks(n: int, w: int, h: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(i, ie, c0, c1, cut) for strips of h rows [i, ie) and their chunks of
+    w columns [c0, c1). A strip's first chunk starts at its own first row:
+    its corner (columns before c0 + cut) is evaluated in both orientations
+    and reaches its rows through the row sums; the columns past it take the
+    other orientation through the column sums. So each unordered pair is
+    visited once, and only the corners twice."""
+    for i in range(0, n, h):
+        ie = min(i + h, n)
+        for c0 in range(i, n, w):
+            yield i, ie, c0, min(c0 + w, n), max(c0, ie) - c0
+
+
+def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """sum_{k != l} ln|factor_lk|^2 at t = starts[b] + offsets[j] on a
+    uniform grid (offsets j step, K > 1), shape (N, len(starts) * K) with
+    column b K + j; -inf where a factor is exactly 0. Each chunk of pairs
+    takes its block starts in chunks of m, and each chunk's product
+    cos(A + B) is one batched matmul of per-pair (m x 2)(2 x K) operands;
+    each temporary holds ~_BLOCK_ELEMENTS."""
+    n, k, n_starts = system.n_particles, offsets.size, starts.size
+    step = offsets[1]
+    scale, floor, unit = _factor_terms(system)
     w, m, h = _kernel_geometry(n, n_starts, k)
     ones = np.ones(w)  # row and column sums as matrix-vector products
     sums = np.zeros((n, n_starts * k))
@@ -164,7 +208,7 @@ def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray) 
     # place from the count-first table e^{i A} and the offsets'
     # [cos B; -sin B] from a pair-major copy of e^{-i B}.
     phase_b = np.empty(k * h * w, dtype=complex)
-    phase_a = np.zeros(n_starts * h * w, dtype=complex)
+    phase_a = np.empty(n_starts * h * w, dtype=complex)
     op_b = np.empty(h * w * 2 * k)
     prod = np.empty(h * w * m * k)
     if not unit:  # the row orientation takes the column particle's terms
@@ -172,55 +216,92 @@ def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray) 
         scale_cols = np.repeat(scale[:, None], m * k, axis=1)
         floor_cols = np.repeat(floor[:, None], m * k, axis=1)
     with np.errstate(divide="ignore"):  # an exact zero factor gives log 0 = -inf
-        for i in range(0, n, h):
-            ie = min(i + h, n)
-            hh = ie - i
-            # The first chunk starts at the strip's first row: its hh x hh
-            # corner is evaluated in both orientations and reaches its rows
-            # through the row sums; the columns past it take the other
-            # orientation through the column sums.
-            for c0 in range(i, n, w):
-                c1 = min(c0 + w, n)
-                ww, cut = c1 - c0, max(c0, ie) - c0
-                g2 = 2.0 * system.couplings[i:ie, c0:c1]
-                # e^{-i 2g B_j}, B_j = j step; [1; 0] on scattered times (K = 1)
-                e_b = _phasor_powers(-step * g2, phase_b[:k * hh * ww].reshape(k, hh, ww))
-                e_a = phase_a[:n_starts * hh * ww].reshape(n_starts, hh, ww)
-                if k > 1:  # e^{i 2g A_b}, A_b = t_0 + b K step
-                    _phasor_powers(k * step * g2, e_a)
-                    if starts[0] != 0.0:
-                        e_a *= np.exp(1j * starts[0] * g2)
-                else:  # cos A only: the [1; 0] offset operand leaves sin A unused
-                    np.cos(np.multiply.outer(starts, g2), out=e_a.real)
-                op = op_b[:hh * ww * 2 * k].reshape(hh, ww, 2, k)
-                np.copyto(op, e_b.view(float).reshape(k, hh, ww, 2).transpose(1, 2, 3, 0))
-                cs_a = e_a.view(float).reshape(n_starts, hh, ww, 2).transpose(1, 2, 0, 3)
-                for b0 in range(0, n_starts, m):
-                    mb = min(m, n_starts - b0)
-                    x = mb * k
-                    c = np.matmul(cs_a[:, :, b0:b0 + mb], op,
-                                  out=prod[:hh * ww * x].reshape(hh, ww, mb, k))
-                    c *= c  # cos^2(2 g (A + B_j)), shared by both orientations
-                    if unit:
-                        y = np.log(c, out=c)
-                    else:
-                        y = np.multiply(c.reshape(hh, ww, x), scale_cols[c0:c1, :x],
-                                        out=y_row[:c.size].reshape(hh, ww, x))
-                        y += floor_cols[c0:c1, :x]
+        for i, ie, c0, c1, cut in _strip_chunks(n, w, h):
+            hh, ww = ie - i, c1 - c0
+            g2 = 2.0 * system.couplings[i:ie, c0:c1]
+            # e^{-i 2g B_j}, B_j = j step, and e^{i 2g A_b}, A_b = t_0 + b K step
+            e_b = _phasor_powers(-step * g2, phase_b[:k * hh * ww].reshape(k, hh, ww))
+            e_a = _phasor_powers(k * step * g2,
+                                 phase_a[:n_starts * hh * ww].reshape(n_starts, hh, ww))
+            if starts[0] != 0.0:
+                e_a *= np.exp(1j * starts[0] * g2)
+            op = op_b[:hh * ww * 2 * k].reshape(hh, ww, 2, k)
+            np.copyto(op, e_b.view(float).reshape(k, hh, ww, 2).transpose(1, 2, 3, 0))
+            cs_a = e_a.view(float).reshape(n_starts, hh, ww, 2).transpose(1, 2, 0, 3)
+            for b0 in range(0, n_starts, m):
+                mb = min(m, n_starts - b0)
+                x = mb * k
+                c = np.matmul(cs_a[:, :, b0:b0 + mb], op,
+                              out=prod[:hh * ww * x].reshape(hh, ww, mb, k))
+                c *= c  # cos^2(2 g (A + B_j)), shared by both orientations
+                if unit:
+                    y = np.log(c, out=c)
+                else:
+                    y = np.multiply(c.reshape(hh, ww, x), scale_cols[c0:c1, :x],
+                                    out=y_row[:c.size].reshape(hh, ww, x))
+                    y += floor_cols[c0:c1, :x]
+                    np.log(y, out=y)
+                y = y.reshape(hh, ww, x)
+                if c0 == i:  # the k = l factor is 1
+                    y.reshape(hh * ww, x)[::ww + 1] = 0.0
+                sums[i:ie, b0 * k:b0 * k + x] += ones[:ww] @ y
+                if cut < ww:
+                    y = y[:, cut:]
+                    if not unit:  # the column orientation takes the row particle's terms
+                        y = c.reshape(hh, ww, x)[:, cut:]
+                        y *= scale[i:ie, None, None]
+                        y += floor[i:ie, None, None]
                         np.log(y, out=y)
-                    y = y.reshape(hh, ww, x)
-                    if c0 == i:  # the k = l factor is 1
-                        y.reshape(hh * ww, x)[::ww + 1] = 0.0
-                    sums[i:ie, b0 * k:b0 * k + x] += ones[:ww] @ y
-                    if cut < ww:
-                        y = y[:, cut:]
-                        if not unit:  # the column orientation takes the row particle's terms
-                            y = c.reshape(hh, ww, x)[:, cut:]
-                            y *= scale[i:ie, None, None]
-                            y += floor[i:ie, None, None]
-                            np.log(y, out=y)
-                        sums[c0 + cut:c1, b0 * k:b0 * k + x] += (
-                            ones[:hh] @ y.reshape(hh, -1)).reshape(ww - cut, x)
+                    sums[c0 + cut:c1, b0 * k:b0 * k + x] += (
+                        ones[:hh] @ y.reshape(hh, -1)).reshape(ww - cut, x)
+    return sums
+
+
+def _time_log_sums(system: SpinSystem, times: np.ndarray, step: float | None) -> np.ndarray:
+    """sum_{k != l} ln|factor_lk|^2 at every time, shape (T, N); -inf where a
+    factor is exactly 0. One block of all T times: per chunk of pairs, a
+    time-major (T, h, w) table of cos(2 g t), by rotation on a uniform grid
+    (step given), else by a direct cos; each temporary holds ~_BLOCK_ELEMENTS."""
+    n, t = system.n_particles, times.size
+    scale, floor, unit = _factor_terms(system)
+    w, _, h = _kernel_geometry(n, t, 1)
+    ones = np.ones(w)  # row and column sums as matrix-vector products
+    sums = np.zeros((t, n))
+    cos2 = np.empty(t * h * w)
+    if step is not None:
+        phase = np.empty(t * h * w, dtype=complex)
+    if not unit:  # the row orientation takes the column particle's terms
+        y_row = np.empty_like(cos2)
+    with np.errstate(divide="ignore"):  # an exact zero factor gives log 0 = -inf
+        for i, ie, c0, c1, cut in _strip_chunks(n, w, h):
+            hh, ww = ie - i, c1 - c0
+            g2 = 2.0 * system.couplings[i:ie, c0:c1]
+            c = cos2[:t * hh * ww].reshape(t, hh, ww)
+            if step is None:
+                np.cos(np.multiply(times[:, None, None], g2, out=c), out=c)
+                c *= c
+            else:  # e^{i 2g t_j} = e^{i 2g t_0} e^{i 2g j step}
+                e = _phasor_powers(step * g2, phase[:c.size].reshape(c.shape))
+                if times[0] != 0.0:
+                    e *= np.exp(1j * times[0] * g2)
+                np.square(e.real, out=c)
+            if unit:
+                y = np.log(c, out=c)
+            else:
+                y = np.multiply(c, scale[c0:c1], out=y_row[:c.size].reshape(c.shape))
+                y += floor[c0:c1]
+                np.log(y, out=y)
+            if c0 == i:  # the k = l factor is 1
+                y.reshape(t, hh * ww)[:, ::ww + 1] = 0.0
+            sums[:, i:ie] += (y.reshape(t * hh, ww) @ ones[:ww]).reshape(t, hh)
+            if cut < ww:
+                y = y[:, :, cut:]
+                if not unit:  # the column orientation takes the row particle's terms
+                    y = c[:, :, cut:]
+                    y *= scale[i:ie, None]
+                    y += floor[i:ie, None]
+                    np.log(y, out=y)
+                sums[:, c0 + cut:c1] += ones[:hh] @ y
     return sums
 
 
@@ -230,9 +311,14 @@ def _log_decay(system: SpinSystem, times: np.ndarray) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
+    step, k = _split_grid(times)
+    if k == 1:
+        sums = _time_log_sums(system, times, step)
+        sums *= 0.5
+        return sums
     # The kernel's buffers are freed when _pair_log_sums returns, before the
     # result is allocated: the peak holds the sums and the result only.
-    sums = _pair_log_sums(system, *_split_grid(times))
+    sums = _pair_log_sums(system, times[::k], step * np.arange(k))
     return np.multiply(sums[:, :times.size].T, 0.5, order="C")
 
 

@@ -179,7 +179,8 @@ def build_couplings(r: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
     from the condensed distances r, e.g. `pdist(positions)`;
     SingularCouplingError unless every coupling is finite."""
     with np.errstate(divide="ignore", over="ignore"):
-        g = eta / r**epsilon
+        g = r**epsilon
+        np.divide(eta, g, out=g)
     if not np.all(np.isfinite(g)):
         raise SingularCouplingError(f"coupling eta / r^epsilon is not finite at the "
                                     f"closest pair, r = {r.min():.3g}, epsilon = {epsilon}")

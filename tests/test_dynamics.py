@@ -294,8 +294,8 @@ def row_blocked_magnitudes(system, times):
     reference: every ordered pair (l, k) takes its own cos, sin and log."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n = system.n_particles
-    starts, offsets = dynamics._split_grid(times)
-    k = offsets.size
+    step, k = dynamics._split_grid(times)
+    starts, offsets = times[::k], (step or 0.0) * np.arange(k)
     p, q = np.abs(system.amp_a) ** 2, np.abs(system.amp_b) ** 2
     p, q = p / (p + q), q / (p + q)
     scale = 2.0 * np.sqrt(p * q)
@@ -351,12 +351,18 @@ def kernel_system(system, n, seed):
 
 def kernel_geometry(times, n):
     """The kernel's columns per chunk, block starts per chunk and rows per
-    strip for this time grid and N, and the grid's block starts."""
-    starts, offsets = dynamics._split_grid(np.asarray(times, dtype=float))
-    return (*dynamics._kernel_geometry(n, starts.size, offsets.size), starts.size)
+    strip for this time grid and N, and the grid's block starts (every
+    time, on a grid that takes the one-block loop)."""
+    k = dynamics._split_grid(np.asarray(times, dtype=float))[1]
+    n_starts = -(-len(times) // k)
+    return (*dynamics._kernel_geometry(n, n_starts, k), n_starts)
 
 
 SCATTERED = np.random.default_rng(8).random(7) * 100
+# The longest uniform grid that takes the one-block loop, and the shortest
+# that takes the rank-2 product.
+ONE_BLOCK = 2.5 * np.arange(dynamics._ONE_BLOCK)
+PAST_ONE_BLOCK = 2.5 * np.arange(dynamics._ONE_BLOCK + 1)
 
 
 class TestKernel:
@@ -390,8 +396,11 @@ class TestKernel:
             np.testing.assert_allclose(mags[i], coherence_magnitudes(s, [GRID[i]])[0],
                                        rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("times", [4.0 * np.arange(26), GRID, SCATTERED],
-                             ids=["26-samples", "2001-samples", "scattered"])
+    @pytest.mark.parametrize("times", [4.0 * np.arange(26), GRID, SCATTERED, ONE_BLOCK,
+                                       PAST_ONE_BLOCK, 10.0 + 0.5 * np.arange(30),
+                                       -0.5 * np.arange(30)],
+                             ids=["26-samples", "2001-samples", "scattered", "one-block",
+                                  "past-one-block", "short-from-10", "short-backwards"])
     @pytest.mark.parametrize("system", ["equal-superposition", "random-complex", "one-differs",
                                         "unbalanced"])
     def test_tiles_match_row_blocked(self, system, times):
@@ -402,23 +411,32 @@ class TestKernel:
             diff = np.abs(coherence_magnitudes(s, times) - row_blocked_magnitudes(s, times))
             assert diff.max() <= 1e-13, (n, diff.max())
 
-    @pytest.mark.parametrize("times", [4.0 * np.arange(26), GRID, SCATTERED],
-                             ids=["26-samples", "2001-samples", "scattered"])
+    @pytest.mark.parametrize("times", [4.0 * np.arange(26), GRID, SCATTERED, PAST_ONE_BLOCK],
+                             ids=["26-samples", "2001-samples", "scattered", "past-one-block"])
     @pytest.mark.parametrize("system", ["equal-superposition", "random-complex", "one-differs"])
     @pytest.mark.parametrize("elements", [1024, 2048])
     def test_strips_match_row_blocked(self, monkeypatch, elements, system, times):
         # Small blocks cut N = 50 into several strips, each taking several
-        # column chunks with a ragged last one, and a uniform grid's block
-        # starts into several chunks. Scattered times always fit one chunk
-        # of starts: their table holds every start within the budget.
+        # column chunks with a ragged last one, and a long uniform grid's
+        # block starts into several chunks. Scattered times and short grids
+        # take the one-block loop: each chunk's table holds every time.
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", elements)
         n = 50
         w, m, h, n_starts = kernel_geometry(times, n)
         assert h < n and w < n and n % w
-        assert m == n_starts if times is SCATTERED else m < n_starts
+        one_block = dynamics._split_grid(times)[1] == 1
+        assert one_block == (times.size <= dynamics._ONE_BLOCK or times is SCATTERED)
+        assert m == n_starts == times.size if one_block else m < n_starts
         s = kernel_system(system, n, seed=3)
         diff = np.abs(coherence_magnitudes(s, times) - row_blocked_magnitudes(s, times))
         assert diff.max() <= 1e-13
+
+    def test_loop_selection(self):
+        # Uniform grids of up to _ONE_BLOCK samples and scattered times take
+        # one block of every time (K = 1); longer uniform grids take blocks.
+        assert dynamics._split_grid(ONE_BLOCK) == (2.5, 1)
+        assert dynamics._split_grid(PAST_ONE_BLOCK)[1] > 1
+        assert dynamics._split_grid(SCATTERED) == (None, 1)
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_no_times(self, n):
@@ -457,7 +475,7 @@ class TestKernel:
     def test_shifted_grid_matches_scalar_path(self, times, mode):
         # Phasors are rotated from the grid's first time and step: grids
         # that start away from 0 or step backwards take the t_0 phasor.
-        assert dynamics._split_grid(times)[1].size > 1  # taken as uniform
+        assert dynamics._split_grid(times)[0] is not None  # taken as uniform
         s = random_system(50, seed=9, amplitude_mode=mode)
         every = slice(None, None, 40)
         np.testing.assert_allclose(coherence_magnitudes(s, times)[every],
@@ -468,7 +486,7 @@ class TestKernel:
         # 20001 samples: K = 142 offsets and 141 block starts, each phasor
         # some hundred rotations from its direct cos/sin.
         times = 0.05 * np.arange(20001)
-        assert dynamics._split_grid(times)[1].size == 142
+        assert dynamics._split_grid(times)[1] == 142
         s = random_system(2, seed=4, amplitude_mode=mode)
         ceiling = np.abs(s.amp_a * np.conj(s.amp_b))
         mags = coherence_magnitudes(s, times)
@@ -582,14 +600,14 @@ def permuted(system, perm):
 
 @st.composite
 def systems_and_times(draw):
-    """A system of up to 300 particles, so several tiles and a ragged last
-    one, on a uniform grid (the tiled, angle-added path) or at scattered
-    times (K = 1)."""
+    """A system of up to 300 particles, so several strips and a ragged last
+    chunk, on a uniform grid (short ones take the one-block loop, longer
+    ones the rank-2 product) or at scattered times (the one-block loop)."""
     n = draw(st.integers(1, 300))
     mode = draw(st.sampled_from(["equal-superposition", "random-complex"]))
     system = random_system(n, seed=draw(st.integers(0, 2**32 - 1)), amplitude_mode=mode)
     if draw(st.booleans()):
-        times = draw(st.floats(0.01, 5.0)) * np.arange(draw(st.integers(2, 30)))
+        times = draw(st.floats(0.01, 5.0)) * np.arange(draw(st.integers(2, 60)))
     else:
         times = np.array(draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5)))
     return system, times

@@ -50,6 +50,15 @@ class TestParticleFrequency:
             row = np.delete(s.couplings[l], l)
             assert freqs[l] == 2.0 * np.diff(np.sort(row)).min()
 
+    @pytest.mark.parametrize("n", [33, 1000])
+    def test_row_blocks_match_one_sort(self, n):
+        # Blocks of 32 rows leave a ragged last block at both sizes; each
+        # row's sort, differences and minimum are the same as in one sort
+        # of the whole matrix.
+        s = build_system(SystemConfig(n_particles=n, rng_seed=n))
+        whole = 2.0 * np.diff(np.sort(s.couplings, axis=1)[:, 1:], axis=1).min(axis=1)
+        assert np.array_equal(recurrence_time(s).frequencies, whole)
+
     def test_needs_three_particles(self):
         s = build_system(SystemConfig(n_particles=2, rng_seed=1))
         with pytest.raises(ValueError):
