@@ -46,31 +46,27 @@ per chunk, a time-major (T, h, w) table of cos(2 g t), then the square,
 the log and the sums, row sums as y @ ones and column sums as ones @ y,
 into a (T, N) accumulator that the 0.5 scale turns into the result.
 
-The rank-2 product pays only when both S and K are large. At N = 1000 and
-26 samples a per-pair matmul holds 30 entries (a padded last block) and
-its call costs about 30 ns, so the product costs 1.5 ns per entry; the
-one-block loop builds its table with one complex multiply per entry and no
-matmul call. Measured on a 2-core Xeon (numpy 2.4, OpenBLAS, one thread;
-medians of alternating calls), the one-block loop took 0.6-0.65x the
-rank-2 loop's time at N = 1000 and 26 samples with equal superposition
-and 0.75-0.8x with random-complex amplitudes. Random-complex amplitudes
-broke even at 36-41 samples at N = 200 and at 41-46 at N = 1000, and lost
-1.13-1.21x at 64; equal superposition still won at 64 (0.95-0.98x). Hence
-_ONE_BLOCK = 40. Per pair entry at N = 200 and 2001 samples the rank-2
-loop spends: product 0.6 ns, square 0.3, log 1.2, row and column sums 0.3
-and 0.6.
+A mask of needed samples lets the rank-2 loop skip work: a chunk of m
+block starts none of whose samples is needed is skipped whole, and its
+samples read NaN (a log sum never does). Only whole chunks go, because the
+batched products and sums round differently at other chunk sizes; so
+every sample that is evaluated keeps its bits. The one-block loop
+evaluates every time.
 
-The phasors come by rotation, not by cos/sin, where an exp takes 30-40 ns
-per element against under 1 ns for a multiply and 1-2 ns for a log. On a
-long grid, e^{-i 2g step} and e^{i 2g K step} take one complex exp each
-per chunk (cos and sin at once), e^{i 2g t_0} one more when t_0 != 0, and
-the powers e^{-i 2g j step} and e^{i 2g b K step} are complex products:
-2 exps per unordered pair (3 when t_0 != 0), whatever T, and about K + S
-ulps of rounding in a phase. On a short grid, e^{i 2g step} takes one exp
-per pair and its T powers are complex products, times e^{i 2g t_0} when
-t_0 != 0: 1 exp per pair (2 when t_0 != 0) and about T ulps. A direct cos
-already carries |2 g t| eps from its argument. Scattered times take a
-direct cos per time and pair.
+The rank-2 product pays only when both S and K are large, hence
+_ONE_BLOCK = 40, a measured crossover (README, "Kernel cost", gives the
+timings).
+
+The phasors come by rotation, not by cos/sin: an exp costs tens of
+multiplies. On a long grid, e^{-i 2g step} and e^{i 2g K step} take one
+complex exp each per chunk (cos and sin at once), e^{i 2g t_0} one more
+when t_0 != 0, and the powers e^{-i 2g j step} and e^{i 2g b K step} are
+complex products: 2 exps per unordered pair (3 when t_0 != 0), whatever
+T, and about K + S ulps of rounding in a phase. On a short grid,
+e^{i 2g step} takes one exp per pair and its T powers are complex
+products, times e^{i 2g t_0} when t_0 != 0: 1 exp per pair (2 when
+t_0 != 0) and about T ulps. A direct cos already carries |2 g t| eps from
+its argument. Scattered times take a direct cos per time and pair.
 
 BLAS evaluates each per-pair product with fused multiply-adds, and the
 sums add chunk by chunk in their own order, so outputs depend on the loop
@@ -102,8 +98,8 @@ MAX_TRAJECTORY_ELEMENTS = 50_000_000
 _BLOCK_ELEMENTS = 65_536
 
 # Uniform grids of at most this many samples take the one-block loop: below
-# it the rank-2 product's per-pair matmuls cost more than they save (the
-# measured crossover is in the module docstring).
+# it the rank-2 product's per-pair matmuls cost more than they save (a
+# measured crossover; README's "Kernel cost" gives the timings).
 _ONE_BLOCK = 40
 
 
@@ -191,19 +187,28 @@ def _strip_chunks(n: int, w: int, h: int) -> Iterator[tuple[int, int, int, int, 
             yield i, ie, c0, min(c0 + w, n), max(c0, ie) - c0
 
 
-def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray,
+                   run: np.ndarray | None = None) -> np.ndarray:
     """sum_{k != l} ln|factor_lk|^2 at t = starts[b] + offsets[j] on a
     uniform grid (offsets j step, K > 1), shape (N, len(starts) * K) with
     column b K + j; -inf where a factor is exactly 0. Each chunk of pairs
     takes its block starts in chunks of m, and each chunk's product
     cos(A + B) is one batched matmul of per-pair (m x 2)(2 x K) operands;
-    each temporary holds ~_BLOCK_ELEMENTS."""
+    each temporary holds ~_BLOCK_ELEMENTS. With a per-start mask `run`, a
+    chunk of starts none of which it marks is skipped and its columns read
+    NaN; the other columns keep their bits."""
     n, k, n_starts = system.n_particles, offsets.size, starts.size
     step = offsets[1]
     scale, floor, unit = _factor_terms(system)
     w, m, h = _kernel_geometry(n, n_starts, k)
     ones = np.ones(w)  # row and column sums as matrix-vector products
     sums = np.zeros((n, n_starts * k))
+    start_chunks = []
+    for b0 in range(0, n_starts, m):
+        if run is None or run[b0:b0 + m].any():
+            start_chunks.append(b0)
+        else:
+            sums[:, b0 * k:(b0 + m) * k] = np.nan
     # Per chunk, the matmul reads the block starts' [cos A, sin A] rows in
     # place from the count-first table e^{i A} and the offsets'
     # [cos B; -sin B] from a pair-major copy of e^{-i B}.
@@ -228,7 +233,7 @@ def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray) 
             op = op_b[:hh * ww * 2 * k].reshape(hh, ww, 2, k)
             np.copyto(op, e_b.view(float).reshape(k, hh, ww, 2).transpose(1, 2, 3, 0))
             cs_a = e_a.view(float).reshape(n_starts, hh, ww, 2).transpose(1, 2, 0, 3)
-            for b0 in range(0, n_starts, m):
+            for b0 in start_chunks:
                 mb = min(m, n_starts - b0)
                 x = mb * k
                 c = np.matmul(cs_a[:, :, b0:b0 + mb], op,
@@ -305,9 +310,13 @@ def _time_log_sums(system: SpinSystem, times: np.ndarray, step: float | None) ->
     return sums
 
 
-def _log_decay(system: SpinSystem, times: np.ndarray) -> np.ndarray:
+def _log_decay(system: SpinSystem, times: np.ndarray,
+               need: np.ndarray | None = None) -> np.ndarray:
     """ln(|z_l(t)| / |a_l b_l|) = sum_{k != l} ln|factor_lk|, shape
-    (len(times), N); -inf where a factor is exactly 0."""
+    (len(times), N); -inf where a factor is exactly 0. With a per-sample
+    mask `need`, the rank-2 loop skips each chunk of block starts that holds
+    no needed sample, and the samples of a skipped chunk read NaN (a log
+    sum is never NaN); the one-block loop evaluates every sample."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
@@ -316,15 +325,28 @@ def _log_decay(system: SpinSystem, times: np.ndarray) -> np.ndarray:
         sums = _time_log_sums(system, times, step)
         sums *= 0.5
         return sums
+    starts = times[::k]
+    run = None
+    if need is not None:  # a block start runs if any of its K samples is needed
+        run = np.zeros(starts.size * k, dtype=bool)
+        run[:times.size] = need
+        run = run.reshape(starts.size, k).any(axis=1)
     # The kernel's buffers are freed when _pair_log_sums returns, before the
     # result is allocated: the peak holds the sums and the result only.
-    sums = _pair_log_sums(system, times[::k], step * np.arange(k))
+    sums = _pair_log_sums(system, starts, step * np.arange(k), run)
     return np.multiply(sums[:, :times.size].T, 0.5, order="C")
+
+
+def _magnitudes(system: SpinSystem, times: np.ndarray,
+                need: np.ndarray | None = None) -> np.ndarray:
+    """coherence_magnitudes, with NaN rows at the samples _log_decay skips
+    under the mask `need`."""
+    return np.abs(system.amp_a * np.conj(system.amp_b)) * np.exp(_log_decay(system, times, need))
 
 
 def coherence_magnitudes(system: SpinSystem, times: np.ndarray) -> np.ndarray:
     """|z_l(t)| for all particles at each time; shape (len(times), N)."""
-    return np.abs(system.amp_a * np.conj(system.amp_b)) * np.exp(_log_decay(system, times))
+    return _magnitudes(system, times)
 
 
 def particle_entropies(system: SpinSystem, z_abs: np.ndarray) -> np.ndarray:

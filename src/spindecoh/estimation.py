@@ -22,14 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .dynamics import Trajectory, _time_grid, sample_trajectory
+from .dynamics import Trajectory, _magnitudes, _time_grid
 from .model import SystemConfig, build_system, derive_seed
 
 MAX_FIT_ITERATIONS = 200
 FIT_PARAM_TOL = 1e-8
 
-# Auto fit window is [0, min(AUTO_WINDOW_FACTOR * tau0, AUTO_WINDOW_CAP)];
-# the fluctuation model only holds for small t.
+# Auto fit window is [0, min(AUTO_WINDOW_FACTOR * tau0, AUTO_WINDOW_CAP)],
+# widened to the first 3 samples within the cap; the fluctuation model only
+# holds for small t.
 AUTO_WINDOW_FACTOR = 20.0
 AUTO_WINDOW_CAP = 50.0
 
@@ -156,16 +157,32 @@ def time_average(trajectory: Trajectory, t1: float, t2: float) -> float:
     return float(np.trapezoid(vals, nodes) / (t2 - t1))
 
 
-def _initial_guess(trajectory: Trajectory) -> tuple[float, float]:
+def _tail_size(n_samples: int) -> int:
+    """Trailing samples whose mean is the initial guess c0."""
+    return max(1, int(TAIL_FRACTION * n_samples))
+
+
+def _initial_guess(trajectory: Trajectory) -> tuple[float, float, int]:
+    """(tau0, c0, read): c0 is the tail mean, tau0 the first time Xi falls
+    to c0 + (0.5 - c0) / e (1 without one), and the search for it reads the
+    first `read` samples."""
     xi_vals = trajectory.xi
-    n_tail = max(1, int(TAIL_FRACTION * xi_vals.size))
-    c0 = float(np.clip(xi_vals[-n_tail:].mean(), 0.0, 0.499))
+    c0 = float(np.clip(xi_vals[-_tail_size(xi_vals.size):].mean(), 0.0, 0.499))
     level = c0 + (0.5 - c0) / np.e
     below = np.nonzero(xi_vals <= level)[0]
     tau0 = float(trajectory.times[below[0]]) if below.size else 1.0
     if tau0 <= 0.0:
         tau0 = 1.0
-    return tau0, c0
+    return tau0, c0, int(below[0]) + 1 if below.size else xi_vals.size
+
+
+def _fit_window(times: np.ndarray, tau0: float, fit_window) -> tuple[float, float]:
+    """fit_window, or the auto window [0, min(20 tau0, 50)] widened to the
+    first 3 samples within the cap."""
+    if fit_window is not None:
+        return fit_window
+    third = times[min(2, times.size - 1)]
+    return 0.0, min(max(AUTO_WINDOW_FACTOR * tau0, third), AUTO_WINDOW_CAP)
 
 
 def fit_decay(
@@ -174,11 +191,11 @@ def fit_decay(
     """Fit the decay model to a trajectory by damped Gauss-Newton.
 
     With fit_window=None the window is [0, min(20 * tau0, 50)] where tau0
-    is the 1/e-crossing initial guess. Bounds: tau > 0, 0 <= c < 0.5.
+    is the 1/e-crossing initial guess, widened to hold the first 3 samples
+    if the cap allows. Bounds: tau > 0, 0 <= c < 0.5.
     """
-    tau0, c0 = _initial_guess(trajectory)
-    if fit_window is None:
-        fit_window = (0.0, min(AUTO_WINDOW_FACTOR * tau0, AUTO_WINDOW_CAP))
+    tau0, c0, _ = _initial_guess(trajectory)
+    fit_window = _fit_window(trajectory.times, tau0, fit_window)
     mask = _check_windows(trajectory.times, fit=fit_window)
     t = trajectory.times[mask]
     y = trajectory.xi[mask]
@@ -246,10 +263,34 @@ def _check_plan(cells: list[SystemConfig], u, dt, t_max, t1, t2, fit_window) -> 
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
     times = _time_grid(dt, t_max, max(cell.n_particles for cell in cells))
-    # Every auto fit window [0, min(20 tau0, 50)] lies inside (0, AUTO_WINDOW_CAP):
-    # if that holds too few samples, every member's fit would fail.
+    # Every auto fit window lies inside [0, AUTO_WINDOW_CAP] and takes the first
+    # 3 samples it holds: if it holds fewer, every member's fit would fail.
     largest_fit = (0.0, AUTO_WINDOW_CAP) if fit_window is None else fit_window
     _check_windows(times, average=(t1, t2), fit=largest_fit)
+
+
+def _pass_one(times: np.ndarray, t1: float, t2: float) -> np.ndarray:
+    """The samples a member evaluates first: t = 0, the tail that gives c0,
+    and the averaging window with the neighbours its ends interpolate."""
+    need = np.zeros(times.size, dtype=bool)
+    need[0] = True
+    need[-_tail_size(times.size):] = True
+    # As in time_average: np.interp reads samples j and j + 1 with
+    # times[j] <= t < times[j + 1].
+    lo, hi = np.searchsorted(times, (max(t1, times[0]), min(t2, times[-1])), side="right") - 1
+    need[lo:hi + 2] = True
+    return need
+
+
+def _fit_reads_evaluated(trajectory: Trajectory, fit_window) -> bool:
+    """Whether fit_decay reads only evaluated (non-NaN) samples: those its
+    search for tau0 reads, and those of its fit window."""
+    xi = trajectory.xi
+    tau0, _, read = _initial_guess(trajectory)
+    if np.isnan(xi[:read]).any():  # the crossing may lie in a skipped sample
+        return False
+    mask = _check_windows(trajectory.times, fit=_fit_window(trajectory.times, tau0, fit_window))
+    return not np.isnan(xi[mask]).any()
 
 
 def _single_run(
@@ -262,9 +303,19 @@ def _single_run(
     t2: float,
     fit_window: tuple[float, float] | None,
 ) -> RunRecord:
+    """One member: its fit and average from the samples they read, the same
+    bits as from its whole sampled trajectory. Pass 1 evaluates the samples
+    _pass_one marks (the kernel adds the rest of their start chunks, NaN
+    elsewhere); pass 2 evaluates the skipped ones only if the fit would read
+    one of them."""
     seed = derive_seed(master_seed, index)
     system = build_system(dataclasses.replace(cell, rng_seed=seed))
-    traj = sample_trajectory(system, dt=dt, t_max=t_max)
+    times = _time_grid(dt, t_max, system.n_particles)
+    xi = _magnitudes(system, times, _pass_one(times, t1, t2)).mean(axis=1)
+    if not _fit_reads_evaluated(Trajectory(times, xi), fit_window):
+        skipped = np.isnan(xi)
+        xi[skipped] = _magnitudes(system, times, skipped).mean(axis=1)[skipped]
+    traj = Trajectory(times, xi)
     return RunRecord(index=index, seed=seed, fit=fit_decay(traj, fit_window=fit_window),
                      xi_avg=time_average(traj, t1, t2))
 

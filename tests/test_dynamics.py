@@ -497,6 +497,36 @@ class TestKernel:
         diff = np.abs(mags[every] - scalar_magnitudes(s, times[every]))
         assert np.all(diff <= 1e-14 + 4 * EPS * cond[every])
 
+    @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
+    @pytest.mark.parametrize("t0", [0.0, 10.0])
+    @pytest.mark.parametrize("n", [10, 50, 200])
+    def test_mask_skips_whole_start_chunks(self, n, t0, mode):
+        # An ensemble member's first pass: t = 0, the tail and the averaging
+        # window [50, 100]. A chunk of m block starts that holds no needed
+        # sample is skipped and reads NaN; every other sample keeps its bits.
+        times = t0 + GRID
+        s = random_system(n, seed=n, amplitude_mode=mode)
+        full = dynamics._log_decay(s, times)
+        need = np.zeros(times.size, dtype=bool)
+        need[0] = True
+        need[1000:] = True
+        got = dynamics._log_decay(s, times, need)
+        _, m, _, _ = kernel_geometry(times, n)
+        chunk = np.arange(times.size) // (dynamics._split_grid(times)[1] * m)
+        skipped = ~np.isin(chunk, chunk[need])
+        assert skipped.any() == (n >= 50)  # N = 10 takes every start in one chunk
+        assert np.isnan(got[skipped]).all() and not np.isnan(got[~skipped]).any()
+        assert np.array_equal(got[~skipped], full[~skipped])
+        assert np.array_equal(dynamics._log_decay(s, times, np.ones(times.size, bool)), full)
+
+    @pytest.mark.parametrize("times", [4.0 * np.arange(26), ONE_BLOCK],
+                             ids=["26-samples", "one-block"])
+    def test_one_block_ignores_mask(self, times):
+        s = random_system(50, seed=2, amplitude_mode="random-complex")
+        need = np.zeros(times.size, dtype=bool)
+        need[0] = True
+        assert np.array_equal(dynamics._log_decay(s, times, need), dynamics._log_decay(s, times))
+
     def test_bounds_and_time_reversal(self):
         s = random_system(50, seed=6, amplitude_mode="random-complex")
         ceiling = np.abs(s.amp_a * np.conj(s.amp_b))

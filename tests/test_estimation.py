@@ -200,7 +200,7 @@ class TestRunEnsemble:
     ])
     def test_window_checked_before_members_run(self, monkeypatch, window, message):
         calls = []
-        monkeypatch.setattr(estimation, "sample_trajectory", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(estimation, "_magnitudes", lambda *a, **k: calls.append(a))
         with pytest.raises(WindowError, match=message):
             run_ensemble(self.CELL, 4, master_seed=0, **window)
         assert calls == []
@@ -208,6 +208,14 @@ class TestRunEnsemble:
     def test_rejects_bad_u(self):
         with pytest.raises(ValueError):
             run_ensemble(self.CELL, 0, master_seed=1)
+
+    def test_auto_window_takes_three_samples(self):
+        # No 1/e crossing gives tau0 = 1, and [0, 20 tau0] holds the samples
+        # at 0 and 12 only: the window widens to the third sample at 24.
+        stats = run_ensemble(SystemConfig(3, eta=1e-5), 2, 1, dt=12, t_max=96, t1=48, t2=96)
+        for rec in stats.runs:
+            assert (rec.fit.fit_lo, rec.fit.fit_hi) == (0.0, 24.0)
+            assert rec.fit.converged
 
     def test_eta_rescaling_halves_tau(self):
         # Doubling eta doubles every coupling; resampling the same systems on
@@ -219,6 +227,51 @@ class TestRunEnsemble:
                           t1=25.0, t2=50.0)
         for r1, r2 in zip(s1.runs, s2.runs):
             assert r2.fit.tau == pytest.approx(r1.fit.tau / 2.0, rel=1e-12)
+
+
+def whole_trajectory_records(cell, u, master_seed, dt=0.05, t_max=100.0, t1=50.0, t2=100.0,
+                             fit_window=None):
+    """Each member's record from its whole sampled trajectory."""
+    records = []
+    for i in range(u):
+        seed = derive_seed(master_seed, i)
+        traj = sample_trajectory(build_system(dataclasses.replace(cell, rng_seed=seed)),
+                                 dt=dt, t_max=t_max)
+        records.append(estimation.RunRecord(i, seed, fit_decay(traj, fit_window=fit_window),
+                                            time_average(traj, t1, t2)))
+    return tuple(records)
+
+
+class TestMemberPasses:
+    @pytest.mark.parametrize("cell, window, passes", [
+        (SystemConfig(10), {}, 1),
+        (SystemConfig(50), {}, 1),
+        (SystemConfig(200), {}, 1),
+        # The fit window reaches into skipped start chunks.
+        (SystemConfig(50), dict(fit_window=(0.0, 40.0)), 2),
+        # The 1/e crossing that gives tau0 (t = 17) falls in a skipped chunk.
+        (SystemConfig(50, eta=0.01), dict(fit_window=(0.0, 5.0)), 2),
+        # No 1/e crossing at all before the first skipped chunk.
+        (SystemConfig(50, eta=1e-3), {}, 2),
+        (SystemConfig(50), dict(t1=50.025), 1),  # off the grid: interpolated
+        (SystemConfig(50), dict(dt=4.0), 1),  # 26 samples: one block
+        (SystemConfig(50, amplitude_mode="random-complex"), {}, 1),
+    ], ids=["n10", "n50", "n200", "fit-window-0-40", "crossing-skipped", "no-early-crossing",
+            "t1-off-grid", "dt-4", "random-complex"])
+    def test_records_match_whole_trajectory(self, monkeypatch, cell, window, passes):
+        # Members evaluate only the start chunks their fit and average read,
+        # in a second pass only when the first misses a sample the fit reads.
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return magnitudes(*args)
+
+        magnitudes = estimation._magnitudes
+        monkeypatch.setattr(estimation, "_magnitudes", counted)
+        stats = run_ensemble(cell, 2, master_seed=7, **window)
+        assert len(calls) == 2 * passes
+        assert stats.runs == whole_trajectory_records(cell, 2, 7, **window)
 
 
 class TestMeanLevelFit:
