@@ -5,10 +5,10 @@ uniformly at random in a D-dimensional box, a symmetric coupling matrix
 derived from an eta / r**epsilon potential (or drawn uniformly at random),
 and per-particle superposition amplitudes (a_k, b_k).
 
-Pairwise data lives in condensed form (one value per pair i < j, the order
-of `scipy.spatial.distance.pdist`): `place_particles` tests separations on
-it and returns its last distances, `build_system` hands them to
-`build_couplings`, and both coupling modes expand it with `squareform`.
+Pairwise data lives in one square (N, N) float array per system:
+`place_particles` builds the distances in blocks of rows and tests
+separations on them, and both coupling modes overwrite that array with the
+couplings, so a system holds 8 N^2 bytes of pairwise data.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 AMPLITUDE_MODES = ("equal-superposition", "random-complex")
 COUPLING_MODES = ("potential", "uniform-random")
@@ -24,10 +23,14 @@ COUPLING_MODES = ("potential", "uniform-random")
 # Particles closer than this fraction of the box side are resampled so that
 # 1/r couplings stay finite.
 MIN_SEPARATION_FACTOR = 1e-9
-# pdist squares separations: below this side the minimum separation squares
-# below the smallest normal float, and placement reads every pair as 0 apart.
+# Distances are taken from squared separations: below this side the minimum
+# separation squares below the smallest normal float, and placement reads
+# every pair as 0 apart.
 MIN_BOX_SIDE = np.sqrt(np.finfo(float).tiny) / MIN_SEPARATION_FACTOR
 MAX_PLACEMENT_ATTEMPTS = 1000
+# Rows of the distance matrix built at once; a block's temporaries take
+# _DISTANCE_ROWS * N floats.
+_DISTANCE_ROWS = 64
 
 
 class PlacementError(RuntimeError):
@@ -140,6 +143,38 @@ def box_side(n_particles: int, density: float, dimension: int) -> float:
     return (n_particles / density) ** (1.0 / dimension)
 
 
+def _distances(points: np.ndarray, min_sep: float,
+               r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fill r with the (m, m) distance matrix of `points` and return the
+    close pairs (i, j), i < j, that lie under min_sep apart.
+
+    Each block of rows takes its upper-triangle columns from a contiguous
+    difference per dimension, squared and summed in dimension order (so every
+    r_ij matches `scipy.spatial.distance.pdist`), and copies their transpose
+    into the lower triangle."""
+    m = len(points)
+    coords = np.ascontiguousarray(points.T)
+    buf = np.empty(min(m, _DISTANCE_ROWS) * m)
+    close_i, close_j = [], []
+    for r0 in range(0, m, _DISTANCE_ROWS):
+        r1 = min(r0 + _DISTANCE_ROWS, m)
+        block = r[r0:r1, r0:]
+        diff = buf[:block.size].reshape(block.shape)
+        for k, x in enumerate(coords):
+            np.subtract(x[r0:r1, None], x[None, r0:], out=diff)
+            if k == 0:
+                np.square(diff, out=block)
+            else:
+                block += np.square(diff, out=diff)
+        np.sqrt(block, out=block)
+        r[r1:, r0:r1] = block[:, r1 - r0:].T
+        rows, cols = np.divmod(np.flatnonzero(block < min_sep), block.shape[1])
+        upper = cols > rows
+        close_i.append(rows[upper] + r0)
+        close_j.append(cols[upper] + r0)
+    return np.concatenate(close_i), np.concatenate(close_j)
+
+
 def place_particles(config: SystemConfig,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw N positions uniformly in the box, resampling any particle that
@@ -147,26 +182,21 @@ def place_particles(config: SystemConfig,
     draw one candidate per missing particle and keep them in draw order, so
     positions and generator state match drawing one at a time.
 
-    Returns (positions, r): r is the condensed `pdist` of the positions,
-    taken in the last round, which kept every point."""
+    Returns (positions, r): r is the square (N, N) distance matrix of the
+    positions, taken in the last round, which kept every point."""
     n, d = config.n_particles, config.dimension
     side = box_side(n, config.density, d)
     min_sep = MIN_SEPARATION_FACTOR * side
     positions = np.empty((0, d))
+    r = np.empty((n, n))
     stalled = 0
     while len(positions) < n:
         points = np.vstack([positions, rng.random((n - len(positions), d)) * side])
-        r = pdist(points)
-        keep = np.ones(len(points), dtype=bool)
-        close = np.flatnonzero(r < min_sep)
-        if close.size:  # condensed index -> pair (i, j), i < j
-            m = len(points)
-            row_start = np.arange(m) * (2 * m - 1 - np.arange(m)) // 2
-            i = np.searchsorted(row_start, close, side="right") - 1
-            j = close - row_start[i] + i + 1
-            # Kept positions are mutually separated, so every j is a candidate.
-            for later in np.unique(j):
-                keep[later] = not keep[i[j == later]].any()
+        i, j = _distances(points, min_sep, r)
+        keep = np.ones(n, dtype=bool)
+        # Kept positions are mutually separated, so every j is a candidate.
+        for later in np.unique(j):
+            keep[later] = not keep[i[j == later]].any()
         stalled = stalled + 1 if keep.sum() == len(positions) else 0
         if stalled == MAX_PLACEMENT_ATTEMPTS:
             raise PlacementError(f"no particle placed in {MAX_PLACEMENT_ATTEMPTS} rounds")
@@ -176,15 +206,18 @@ def place_particles(config: SystemConfig,
 
 def build_couplings(r: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
     """Coupling matrix g_ij = eta / r_ij**epsilon (symmetric, zero diagonal)
-    from the condensed distances r, e.g. `pdist(positions)`;
+    from the square distance matrix r, e.g. `place_particles`' second
+    result. r is overwritten with the couplings and returned;
     SingularCouplingError unless every coupling is finite."""
     with np.errstate(divide="ignore", over="ignore"):
-        g = r**epsilon
-        np.divide(eta, g, out=g)
-    if not np.all(np.isfinite(g)):
-        raise SingularCouplingError(f"coupling eta / r^epsilon is not finite at the "
-                                    f"closest pair, r = {r.min():.3g}, epsilon = {epsilon}")
-    return squareform(g)
+        r **= epsilon
+        np.divide(eta, r, out=r)
+    np.fill_diagonal(r, 0.0)
+    if not np.all(np.isfinite(r)):
+        i, j = divmod(int(np.argmin(np.isfinite(r))), len(r))
+        raise SingularCouplingError(f"coupling eta / r^epsilon is not finite for "
+                                    f"particles {i} and {j}, epsilon = {epsilon}")
+    return r
 
 
 def _draw_amplitudes(config: SystemConfig, rng: np.random.Generator):
@@ -209,7 +242,11 @@ def build_system(config: SystemConfig) -> SpinSystem:
     if config.coupling_mode == "potential":
         couplings = build_couplings(r, config.eta, config.epsilon)
     else:
+        # The draw fills the upper triangle in row order and is mirrored
+        # below it; r's diagonal is already 0.
         n = config.n_particles
-        couplings = squareform(rng.random(n * (n - 1) // 2))
+        upper = np.arange(n)[:, None] < np.arange(n)
+        r[upper] = r.T[upper] = rng.random(n * (n - 1) // 2)
+        couplings = r
     a, b = _draw_amplitudes(config, rng)
     return SpinSystem(positions=positions, amp_a=a, amp_b=b, couplings=couplings)

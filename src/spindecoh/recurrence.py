@@ -93,10 +93,11 @@ def recurrence_stats(
     periods = []
     n_degenerate = 0
     for i in range(samples):
-        system = build_system(
+        # The system goes as soon as its estimate is taken, so the next
+        # draw's build reuses its memory.
+        est = recurrence_time(build_system(
             dataclasses.replace(cell, rng_seed=derive_seed(master_seed, i))
-        )
-        est = recurrence_time(system)
+        ))
         if est.degenerate:
             n_degenerate += 1
         else:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -426,8 +427,8 @@ class TestCliInputErrors:
         # infinite and every Xi NaN.
         ("n = 3\nd = 1\nrho = 1e100\nepsilon = 4\n", ["--tmax", "1", "--dt", "0.5"],
          "coupling eta / r^epsilon is not finite"),
-        # The minimum separation 3e-309 squares to 0 in pdist, so placement
-        # would read every pair as coincident and stall.
+        # The minimum separation 3e-309 squares to 0 when distances are
+        # built, so placement would read every pair as coincident and stall.
         ("n = 3\nd = 1\nrho = 1e300\n", [], "box side (N / rho)^(1/D) must be >= "),
     ], ids=["infinite-couplings", "tiny-box"])
     def test_system_not_representable(self, tmp_path, capsys, lines, flags, message):
@@ -478,8 +479,8 @@ def builds(monkeypatch):
 
 class TestPlanCheckedBeforeBuild:
     @pytest.mark.parametrize("argv, lines, message", [
-        # 2001 samples x 30000 particles; the condensed distances alone
-        # would take 3.6 GB.
+        # 2001 samples x 30000 particles; the square distance matrix alone
+        # would take 7.2 GB.
         (["simulate", "--n", "30000"], "", "exceeds the element cap"),
         (["oracle-check", "--n", "100000"], "", "exceeds the brute-force cap 14"),
         # The second cell breaks the cap: the first must not run either.
@@ -648,6 +649,22 @@ class TestOptionTable:
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, timeout=120, check=True)
         assert result.stdout.strip() == "False"
+
+    def test_scipy_uses_pinned(self):
+        # Distances and couplings are built in numpy; only these names are
+        # left to replace before scipy can become a test-only dependency.
+        uses = set()
+        for path in Path(spindecoh.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                uses |= {(path.stem, name) for name in names
+                         if name == "scipy" or name.startswith("scipy.")}
+        assert uses == {("dynamics", "scipy.special.entr"), ("estimation", "scipy.optimize")}
 
 
 class TestPublicSurface:

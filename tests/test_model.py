@@ -1,8 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from spindecoh import model
 from spindecoh.model import (
@@ -16,6 +17,7 @@ from spindecoh.model import (
     make_rng,
     place_particles,
 )
+from spindecoh.recurrence import recurrence_stats
 
 
 def _sequential_placement(config, rng):
@@ -129,33 +131,40 @@ class TestPlacement:
 class TestCouplings:
     def test_inverse_distance(self):
         pos = np.array([[0.0], [2.0]])
-        g = build_couplings(pdist(pos), eta=1.0, epsilon=1.0)
+        g = build_couplings(squareform(pdist(pos)), eta=1.0, epsilon=1.0)
         assert g[0, 1] == pytest.approx(0.5)
         assert g[0, 0] == 0.0 and g[1, 1] == 0.0
 
     def test_inverse_square(self):
         pos = np.array([[0.0], [2.0]])
-        g = build_couplings(pdist(pos), eta=1.0, epsilon=2.0)
+        g = build_couplings(squareform(pdist(pos)), eta=1.0, epsilon=2.0)
         assert g[0, 1] == pytest.approx(0.25)
 
     def test_collinear_triple(self):
         pos = np.array([[0.0], [1.0], [3.0]])
-        g = build_couplings(pdist(pos), eta=1.0, epsilon=1.0)
+        r = squareform(pdist(pos))
+        g = build_couplings(r, eta=1.0, epsilon=1.0)
+        assert g is r  # the distances are overwritten in place
         assert g[0, 1] == pytest.approx(1.0)
         assert g[0, 2] == pytest.approx(1.0 / 3.0)
         assert g[1, 2] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_broadcast_formula(self, d):
-        pos = make_rng(d).random((60, d)) * 4.0
-        for epsilon in (1.0, 2.5):
-            assert np.array_equal(build_couplings(pdist(pos), 1.7, epsilon),
-                                  _broadcast_couplings(pos, 1.7, epsilon))
+        # Placement builds its distances 64 rows at a time: N = 200 and 1000
+        # take several blocks and a partial last one.
+        for n in (60, 200, 1000):
+            pos, r = place_particles(SystemConfig(n_particles=n, dimension=d, rng_seed=d),
+                                     make_rng(d))
+            for epsilon in (1.0, 2.5):
+                ref = _broadcast_couplings(pos, 1.7, epsilon)
+                assert np.array_equal(build_couplings(squareform(pdist(pos)), 1.7, epsilon), ref)
+                assert np.array_equal(build_couplings(r.copy(), 1.7, epsilon), ref)
 
     def test_coincident_particles_rejected(self):
         pos = np.array([[1.0], [1.0]])
-        with pytest.raises(ValueError):
-            build_couplings(pdist(pos), eta=1.0, epsilon=1.0)
+        with pytest.raises(ValueError, match="particles 0 and 1"):
+            build_couplings(squareform(pdist(pos)), eta=1.0, epsilon=1.0)
 
     def test_exact_symmetry(self):
         cfg = SystemConfig(n_particles=40, dimension=3, density=1.0, rng_seed=13)
@@ -180,7 +189,8 @@ class TestBuildSystem:
             cfg = SystemConfig(n_particles=200, dimension=d, epsilon=1.5, eta=0.7, rng_seed=d)
             s = build_system(cfg)
             assert np.array_equal(s.positions, place_particles(cfg, make_rng(cfg.rng_seed))[0])
-            assert np.array_equal(s.couplings, build_couplings(pdist(s.positions), 0.7, 1.5))
+            assert np.array_equal(s.couplings,
+                                  build_couplings(squareform(pdist(s.positions)), 0.7, 1.5))
 
     @pytest.mark.parametrize("mode, coupling_calls", [("potential", 1), ("uniform-random", 0)])
     def test_runs_public_build_steps(self, monkeypatch, mode, coupling_calls):
@@ -194,6 +204,22 @@ class TestBuildSystem:
             monkeypatch.setattr(model, name, spy)
         build_system(SystemConfig(n_particles=20, coupling_mode=mode, rng_seed=4))
         assert calls == ["place_particles"] + ["build_couplings"] * coupling_calls
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_square_array_per_system(self, d):
+        # The distances become the couplings in place, and each recurrence
+        # draw's system is gone before the next is built, so neither holds
+        # more than one N x N float array at a time.
+        n = 1000
+        cfg = SystemConfig(n_particles=n, dimension=d, rng_seed=d)
+        for build in (lambda: build_system(cfg), lambda: recurrence_stats(cfg, 3, 11)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * 8 * n * n
 
     def test_equal_superposition_products(self):
         cfg = SystemConfig(n_particles=7, rng_seed=3)
