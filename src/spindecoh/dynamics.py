@@ -10,7 +10,7 @@ with p_k = |a_k|^2 and q_k = |b_k|^2. Everything here (system coherence
 Xi(t), entropies, trajectory sampling) is built on that product.
 
 `coherence_magnitudes` evaluates |factor|^2 = (p - q)^2 + 4 p q cos^2(2 g t)
-and sums log factors (`_log_decay`, ln(|z_l| / |a_l b_l|)), so no partial
+and sums log factors (`_log_sums`, 2 ln(|z_l| / |a_l b_l|)), so no partial
 product underflows; only the final exp can. Since g_lk = g_kl,
 cos^2(2 g_lk t) is the same in both orientations of a pair: the loop visits
 each unordered pair once and evaluates cos^2 once per pair and sample. The
@@ -38,17 +38,28 @@ read in place from the chunk's count-first table of e^{i A}; the offsets'
 operand is copied pair-major from the table of e^{-i B} once per chunk,
 because BLAS takes that side only with contiguous rows. Then come the
 square, the log (or scale c^2 + floor and the log, per orientation) and
-the sums, into an (N, T) accumulator whose rows take contiguous adds; the
-final 0.5 scale writes it transposed to (T, N).
+the sums, into an (N, C) accumulator whose rows take contiguous adds.
+Its columns are compact: each evaluated chunk of starts is one run of
+m K samples, in chunk order, and `_log_sums` returns the runs (first
+sample, count) with it.
 
 Shorter uniform grids and scattered times take one block of all T times:
 per chunk, a time-major (T, h, w) table of cos(2 g t), then the square,
 the log and the sums, row sums as y @ ones and column sums as ones @ y,
-into a (T, N) accumulator that the 0.5 scale turns into the result.
+into a (T, N) accumulator, passed on transposed as one run of T samples.
+
+One step finishes both (`_finish`): over blocks of at most
+_BLOCK_ELEMENTS / N consecutive samples of a run, the x0.5, the exp and
+the x|a_l b_l| go in place on a (B, N) block. `coherence_magnitudes`
+takes the blocks as rows of its (T, N) result; an ensemble member (`_xi`)
+takes each block's mean over particles, so it holds its log sums and one
+block, never a (T, N) array. Each time still gets one contiguous mean over
+N, so Xi keeps its bits.
 
 A mask of needed samples lets the rank-2 loop skip work: a chunk of m
-block starts none of whose samples is needed is skipped whole, and its
-samples read NaN (a log sum never does). Only whole chunks go, because the
+block starts none of whose samples is needed is skipped whole and takes
+no columns; its samples are in no run, and Xi reads NaN there (it never
+does at an evaluated sample). Only whole chunks go, because the
 batched products and sums round differently at other chunk sizes; so
 every sample that is evaluated keeps its bits. The one-block loop
 evaluates every time.
@@ -188,27 +199,26 @@ def _strip_chunks(n: int, w: int, h: int) -> Iterator[tuple[int, int, int, int, 
 
 
 def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray,
-                   run: np.ndarray | None = None) -> np.ndarray:
-    """sum_{k != l} ln|factor_lk|^2 at t = starts[b] + offsets[j] on a
-    uniform grid (offsets j step, K > 1), shape (N, len(starts) * K) with
-    column b K + j; -inf where a factor is exactly 0. Each chunk of pairs
+                   run: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+    """(sums, runs): sum_{k != l} ln|factor_lk|^2 at t = starts[b] +
+    offsets[j] on a uniform grid (offsets j step, K > 1) as an (N, C) array
+    whose columns hold the runs (first sample, count) of grid samples
+    b K + j in turn; -inf where a factor is exactly 0. Each chunk of pairs
     takes its block starts in chunks of m, and each chunk's product
     cos(A + B) is one batched matmul of per-pair (m x 2)(2 x K) operands;
     each temporary holds ~_BLOCK_ELEMENTS. With a per-start mask `run`, a
-    chunk of starts none of which it marks is skipped and its columns read
-    NaN; the other columns keep their bits."""
+    chunk of starts none of which it marks is skipped and takes no columns;
+    each evaluated chunk is one run, in chunk order, and keeps its bits."""
     n, k, n_starts = system.n_particles, offsets.size, starts.size
     step = offsets[1]
     scale, floor, unit = _factor_terms(system)
     w, m, h = _kernel_geometry(n, n_starts, k)
     ones = np.ones(w)  # row and column sums as matrix-vector products
-    sums = np.zeros((n, n_starts * k))
-    start_chunks = []
-    for b0 in range(0, n_starts, m):
-        if run is None or run[b0:b0 + m].any():
-            start_chunks.append(b0)
-        else:
-            sums[:, b0 * k:(b0 + m) * k] = np.nan
+    # Each evaluated chunk of starts is one run (first sample, count); its
+    # columns follow those of the runs before it.
+    runs = [(b0 * k, min(m, n_starts - b0) * k) for b0 in range(0, n_starts, m)
+            if run is None or run[b0:b0 + m].any()]
+    sums = np.zeros((n, sum(count for _, count in runs)))
     # Per chunk, the matmul reads the block starts' [cos A, sin A] rows in
     # place from the count-first table e^{i A} and the offsets'
     # [cos B; -sin B] from a pair-major copy of e^{-i B}.
@@ -233,9 +243,9 @@ def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray,
             op = op_b[:hh * ww * 2 * k].reshape(hh, ww, 2, k)
             np.copyto(op, e_b.view(float).reshape(k, hh, ww, 2).transpose(1, 2, 3, 0))
             cs_a = e_a.view(float).reshape(n_starts, hh, ww, 2).transpose(1, 2, 0, 3)
-            for b0 in start_chunks:
-                mb = min(m, n_starts - b0)
-                x = mb * k
+            col = 0
+            for first, x in runs:
+                b0, mb = first // k, x // k
                 c = np.matmul(cs_a[:, :, b0:b0 + mb], op,
                               out=prod[:hh * ww * x].reshape(hh, ww, mb, k))
                 c *= c  # cos^2(2 g (A + B_j)), shared by both orientations
@@ -249,7 +259,7 @@ def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray,
                 y = y.reshape(hh, ww, x)
                 if c0 == i:  # the k = l factor is 1
                     y.reshape(hh * ww, x)[::ww + 1] = 0.0
-                sums[i:ie, b0 * k:b0 * k + x] += ones[:ww] @ y
+                sums[i:ie, col:col + x] += ones[:ww] @ y
                 if cut < ww:
                     y = y[:, cut:]
                     if not unit:  # the column orientation takes the row particle's terms
@@ -257,9 +267,10 @@ def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray,
                         y *= scale[i:ie, None, None]
                         y += floor[i:ie, None, None]
                         np.log(y, out=y)
-                    sums[c0 + cut:c1, b0 * k:b0 * k + x] += (
+                    sums[c0 + cut:c1, col:col + x] += (
                         ones[:hh] @ y.reshape(hh, -1)).reshape(ww - cut, x)
-    return sums
+                col += x
+    return sums, runs
 
 
 def _time_log_sums(system: SpinSystem, times: np.ndarray, step: float | None) -> np.ndarray:
@@ -310,43 +321,68 @@ def _time_log_sums(system: SpinSystem, times: np.ndarray, step: float | None) ->
     return sums
 
 
-def _log_decay(system: SpinSystem, times: np.ndarray,
-               need: np.ndarray | None = None) -> np.ndarray:
-    """ln(|z_l(t)| / |a_l b_l|) = sum_{k != l} ln|factor_lk|, shape
-    (len(times), N); -inf where a factor is exactly 0. With a per-sample
+def _log_sums(system: SpinSystem, times: np.ndarray,
+              need: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+    """(sums, runs): sum_{k != l} ln|factor_lk|^2 = 2 ln(|z_l| / |a_l b_l|)
+    as an (N, C) array whose columns hold the runs (first sample, count) of
+    `times` in turn; -inf where a factor is exactly 0. With a per-sample
     mask `need`, the rank-2 loop skips each chunk of block starts that holds
-    no needed sample, and the samples of a skipped chunk read NaN (a log
-    sum is never NaN); the one-block loop evaluates every sample."""
+    no needed sample, and its samples are in no run; the one-block loop
+    evaluates every time."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     step, k = _split_grid(times)
     if k == 1:
-        sums = _time_log_sums(system, times, step)
-        sums *= 0.5
-        return sums
+        return _time_log_sums(system, times, step).T, [(0, times.size)]
     starts = times[::k]
     run = None
     if need is not None:  # a block start runs if any of its K samples is needed
         run = np.zeros(starts.size * k, dtype=bool)
         run[:times.size] = need
         run = run.reshape(starts.size, k).any(axis=1)
-    # The kernel's buffers are freed when _pair_log_sums returns, before the
-    # result is allocated: the peak holds the sums and the result only.
-    sums = _pair_log_sums(system, starts, step * np.arange(k), run)
-    return np.multiply(sums[:, :times.size].T, 0.5, order="C")
+    sums, runs = _pair_log_sums(system, starts, step * np.arange(k), run)
+    # The last block is computed in full: its samples past the grid are dropped.
+    return sums, [(first, min(count, times.size - first)) for first, count in runs]
 
 
-def _magnitudes(system: SpinSystem, times: np.ndarray,
-                need: np.ndarray | None = None) -> np.ndarray:
-    """coherence_magnitudes, with NaN rows at the samples _log_decay skips
-    under the mask `need`."""
-    return np.abs(system.amp_a * np.conj(system.amp_b)) * np.exp(_log_decay(system, times, need))
+def _finish(system: SpinSystem, sums: np.ndarray, runs: list, out: np.ndarray) -> np.ndarray:
+    """|z_l| = |a_l b_l| e^{sums / 2} from _log_sums' (sums, runs), over
+    blocks of at most _BLOCK_ELEMENTS / N consecutive samples: x0.5, exp and
+    x|a_l b_l| in place on each (B, N) block. A (T, N) out takes the blocks
+    as its rows; a (T,) out takes each block's mean over particles, Xi, so
+    no (T, N) array is made. Samples in no run keep their entries of out."""
+    n = sums.shape[0]
+    b = max(1, _BLOCK_ELEMENTS // n)
+    ab = np.abs(system.amp_a * np.conj(system.amp_b))
+    if out.ndim == 1:
+        block = np.empty(min(b, sums.shape[1]) * n)
+    col = 0
+    for first, count in runs:
+        for j in range(0, count, b):
+            bb = min(b, count - j)
+            rows = slice(first + j, first + j + bb)
+            z = out[rows] if out.ndim == 2 else block[:bb * n].reshape(bb, n)
+            np.multiply(sums[:, col + j:col + j + bb].T, 0.5, out=z)
+            np.exp(z, out=z)
+            z *= ab
+            if out.ndim == 1:
+                z.mean(axis=1, out=out[rows])
+        col += count
+    return out
+
+
+def _xi(system: SpinSystem, times: np.ndarray, need: np.ndarray | None = None) -> np.ndarray:
+    """Xi(t) = mean_l |z_l(t)| without a (T, N) array; NaN at the samples
+    _log_sums skips under the mask `need`."""
+    sums, runs = _log_sums(system, times, need)
+    return _finish(system, sums, runs, np.full(np.size(times), np.nan))
 
 
 def coherence_magnitudes(system: SpinSystem, times: np.ndarray) -> np.ndarray:
     """|z_l(t)| for all particles at each time; shape (len(times), N)."""
-    return _magnitudes(system, times)
+    sums, runs = _log_sums(system, times)
+    return _finish(system, sums, runs, np.empty((np.size(times), system.n_particles)))
 
 
 def particle_entropies(system: SpinSystem, z_abs: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .dynamics import Trajectory, _magnitudes, _time_grid
+from .dynamics import Trajectory, _time_grid, _xi
 from .model import SystemConfig, build_system, derive_seed
 
 MAX_FIT_ITERATIONS = 200
@@ -311,10 +311,10 @@ def _single_run(
     seed = derive_seed(master_seed, index)
     system = build_system(dataclasses.replace(cell, rng_seed=seed))
     times = _time_grid(dt, t_max, system.n_particles)
-    xi = _magnitudes(system, times, _pass_one(times, t1, t2)).mean(axis=1)
+    xi = _xi(system, times, _pass_one(times, t1, t2))
     if not _fit_reads_evaluated(Trajectory(times, xi), fit_window):
         skipped = np.isnan(xi)
-        xi[skipped] = _magnitudes(system, times, skipped).mean(axis=1)[skipped]
+        xi[skipped] = _xi(system, times, skipped)[skipped]
     traj = Trajectory(times, xi)
     return RunRecord(index=index, seed=seed, fit=fit_decay(traj, fit_window=fit_window),
                      xi_avg=time_average(traj, t1, t2))

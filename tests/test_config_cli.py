@@ -130,7 +130,7 @@ class TestParseConfig:
     def test_window_outside_grid_rejected_before_any_run(
             self, tmp_path, capsys, monkeypatch, flags, line, message):
         calls = []
-        monkeypatch.setattr(estimation, "_magnitudes", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(estimation, "_xi", lambda *a, **k: calls.append(a))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "out"
@@ -473,7 +473,7 @@ def builds(monkeypatch):
     calls = []
     for module in (cli, estimation, recurrence):
         monkeypatch.setattr(module, "build_system", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(estimation, "_magnitudes", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(estimation, "_xi", lambda *a, **k: calls.append(a))
     return calls
 
 

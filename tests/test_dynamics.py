@@ -349,6 +349,29 @@ def kernel_system(system, n, seed):
     return random_system(n, seed=seed, amplitude_mode=system)
 
 
+def traced_peak(call):
+    """Peak traced allocation of call(), after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def log_decay(system, times, need=None):
+    """ln(|z_l| / |a_l b_l|) as (T, N) from the kernel's log sums, with NaN
+    rows at the samples it skips under the mask `need`."""
+    sums, runs = dynamics._log_sums(system, times, need)
+    out = np.full((len(times), system.n_particles), np.nan)
+    col = 0
+    for first, count in runs:
+        out[first:first + count] = 0.5 * sums[:, col:col + count].T
+        col += count
+    return out
+
+
 def kernel_geometry(times, n):
     """The kernel's columns per chunk, block starts per chunk and rows per
     strip for this time grid and N, and the grid's block starts (every
@@ -451,23 +474,20 @@ class TestKernel:
             with pytest.raises(ValueError, match="finite"):
                 coherence_magnitudes(s, [0.0, bad])
 
-    # Each bound is an earlier kernel's peak for the call; phasor tables
-    # wider than a chunk of columns exceed the last two.
-    @pytest.mark.parametrize("n, mode, times, bound", [
-        (200, "equal-superposition", GRID, 7.8e6),
-        (1000, "random-complex", 4.0 * np.arange(26), 3.97e6),
-        (300, "random-complex", np.random.default_rng(1).random(500) * 100, 6.69e6),
-    ], ids=["200-2001-samples", "1000-26-samples", "300-500-scattered"])
-    def test_peak_memory(self, n, mode, times, bound):
+    # Each bound is an earlier kernel's peak: for its (T, N) log decay in
+    # the magnitudes' cases, where phasor tables wider than a chunk of
+    # columns exceed the last two, and for its exp over a (T, N) copy in the
+    # trajectory's. The blockwise finish works in place in the result.
+    @pytest.mark.parametrize("call, n, mode, times, bound", [
+        (coherence_magnitudes, 200, "equal-superposition", GRID, 7.8e6),
+        (coherence_magnitudes, 1000, "random-complex", 4.0 * np.arange(26), 3.97e6),
+        (coherence_magnitudes, 300, "random-complex",
+         np.random.default_rng(1).random(500) * 100, 6.69e6),
+        (lambda s, times: sample_trajectory(s), 200, "equal-superposition", GRID, 6.53e6),
+    ], ids=["200-2001-samples", "1000-26-samples", "300-500-scattered", "trajectory-200"])
+    def test_peak_memory(self, call, n, mode, times, bound):
         s = random_system(n, seed=1, amplitude_mode=mode)
-        dynamics._log_decay(s, times)
-        tracemalloc.start()
-        try:
-            dynamics._log_decay(s, times)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        assert traced_peak(lambda: call(s, times)) <= bound
 
     @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
     @pytest.mark.parametrize("times", [10.0 + GRID, -GRID, 30.0 - 0.05 * np.arange(1001)],
@@ -506,18 +526,34 @@ class TestKernel:
         # sample is skipped and reads NaN; every other sample keeps its bits.
         times = t0 + GRID
         s = random_system(n, seed=n, amplitude_mode=mode)
-        full = dynamics._log_decay(s, times)
+        full = log_decay(s, times)
         need = np.zeros(times.size, dtype=bool)
         need[0] = True
         need[1000:] = True
-        got = dynamics._log_decay(s, times, need)
+        got = log_decay(s, times, need)
         _, m, _, _ = kernel_geometry(times, n)
         chunk = np.arange(times.size) // (dynamics._split_grid(times)[1] * m)
         skipped = ~np.isin(chunk, chunk[need])
         assert skipped.any() == (n >= 50)  # N = 10 takes every start in one chunk
         assert np.isnan(got[skipped]).all() and not np.isnan(got[~skipped]).any()
         assert np.array_equal(got[~skipped], full[~skipped])
-        assert np.array_equal(dynamics._log_decay(s, times, np.ones(times.size, bool)), full)
+        assert np.array_equal(log_decay(s, times, np.ones(times.size, bool)), full)
+
+    @pytest.mark.parametrize("times", [GRID, 4.0 * np.arange(26)],
+                             ids=["2001-samples", "26-samples"])
+    def test_xi_from_blocks(self, monkeypatch, times):
+        # Blocks of 81 samples split the runs of 135 evaluated samples (m = 3
+        # starts of K = 45); each time's mean over particles keeps its bits.
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 4096)
+        s = random_system(50, seed=5, amplitude_mode="random-complex")
+        want = coherence_magnitudes(s, times).mean(axis=1)
+        assert np.array_equal(dynamics._xi(s, times), want)
+        need = np.zeros(times.size, dtype=bool)
+        need[0] = need[-1] = True
+        xi = dynamics._xi(s, times, need)
+        evaluated = ~np.isnan(xi)
+        assert evaluated[need].all() and evaluated.all() == (times.size <= dynamics._ONE_BLOCK)
+        assert np.array_equal(xi[evaluated], want[evaluated])
 
     @pytest.mark.parametrize("times", [4.0 * np.arange(26), ONE_BLOCK],
                              ids=["26-samples", "one-block"])
@@ -525,7 +561,7 @@ class TestKernel:
         s = random_system(50, seed=2, amplitude_mode="random-complex")
         need = np.zeros(times.size, dtype=bool)
         need[0] = True
-        assert np.array_equal(dynamics._log_decay(s, times, need), dynamics._log_decay(s, times))
+        assert np.array_equal(log_decay(s, times, need), log_decay(s, times))
 
     def test_bounds_and_time_reversal(self):
         s = random_system(50, seed=6, amplitude_mode="random-complex")
@@ -608,8 +644,8 @@ class TestExactLaws:
         # for t >= 50 underflows to 0, so the kernel's log sums are tested.
         system = random_system(n, 1, amplitude_mode=mode)
         times = 0.5 * np.arange(201)
-        log_decay = dynamics._log_decay(system, times)[times >= 50.0].mean(axis=0)
-        assert_jensen_level(system, np.log(np.abs(system.amp_a * system.amp_b)) + log_decay)
+        decay = log_decay(system, times)[times >= 50.0].mean(axis=0)
+        assert_jensen_level(system, np.log(np.abs(system.amp_a * system.amp_b)) + decay)
 
 
 def assert_jensen_level(system, got):

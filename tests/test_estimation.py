@@ -23,6 +23,8 @@ from spindecoh.estimation import (
 )
 from spindecoh.model import SystemConfig, build_system, derive_seed
 
+from test_dynamics import traced_peak
+
 
 def synthetic_trajectory(tau, c, dt=0.05, n=2001, noise=0.0, seed=0):
     t = dt * np.arange(n)
@@ -200,7 +202,7 @@ class TestRunEnsemble:
     ])
     def test_window_checked_before_members_run(self, monkeypatch, window, message):
         calls = []
-        monkeypatch.setattr(estimation, "_magnitudes", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(estimation, "_xi", lambda *a, **k: calls.append(a))
         with pytest.raises(WindowError, match=message):
             run_ensemble(self.CELL, 4, master_seed=0, **window)
         assert calls == []
@@ -265,13 +267,21 @@ class TestMemberPasses:
 
         def counted(*args):
             calls.append(None)
-            return magnitudes(*args)
+            return member_xi(*args)
 
-        magnitudes = estimation._magnitudes
-        monkeypatch.setattr(estimation, "_magnitudes", counted)
+        member_xi = estimation._xi
+        monkeypatch.setattr(estimation, "_xi", counted)
         stats = run_ensemble(cell, 2, master_seed=7, **window)
         assert len(calls) == 2 * passes
         assert stats.runs == whole_trajectory_records(cell, 2, 7, **window)
+
+    def test_member_peak_memory(self):
+        # A member holds the log sums of the start chunks it evaluates and one
+        # (B, N) block of magnitudes, never a (T, N) array (8 N T bytes).
+        n, samples = 200, 2001
+        peak = traced_peak(lambda: estimation._single_run(
+            SystemConfig(n), 0, 7, 0.05, 100.0, 50.0, 100.0, None))
+        assert peak <= 1.3 * 8 * n * samples
 
 
 class TestMeanLevelFit:
