@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dynamics
+from ._floatrepr import _repr_bytes
 from .config import (
     ConfigParseError,
     ConfigValidationError,
@@ -63,14 +64,29 @@ class _UsageError(Exception):
 
 
 def write_csv(path: Path, meta: dict, columns: list[str], rows) -> None:
-    """Write a CSV with `#`-prefixed metadata header lines."""
+    """Write a CSV with `#`-prefixed metadata header lines.
+
+    rows: an iterable of rows, or a 2-D float64 array. Floats are written as
+    `repr` writes them, every other field (ints, bools, None, strings) as
+    `str` does."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}: {value}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+    header = "".join(f"# {key}: {value}\n" for key, value in meta.items())
+    with open(path, "wb") as fh:
+        fh.write((header + ",".join(columns) + "\n").encode())
+        fh.write(_csv_body(rows))
+
+
+def _csv_body(rows) -> bytes:
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        seps = np.full(rows.shape, ord(","), np.uint8)
+        seps[:, -1] = ord("\n")
+        return _repr_bytes(rows, seps)
+    rows = [list(row) for row in rows]
+    floats = [v for row in rows for v in row if isinstance(v, float)]
+    texts = iter(_repr_bytes(np.array(floats, np.float64),
+                             np.full(len(floats), ord("\n"), np.uint8)).decode().split("\n"))
+    return "".join(",".join(next(texts) if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in rows).encode()
 
 
 def _meta(cfg: RunConfig, **extra) -> dict:
@@ -150,12 +166,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     parts = [traj.times, traj.xi]
     if args.with_z:
         columns += [f"z_{l + 1}" for l in range(system.n_particles)]
-        parts += [traj.coherences[:, l] for l in range(system.n_particles)]
+        parts.append(traj.coherences)
     if args.with_entropy:
         columns.append("s_tot")
         parts.append(particle_entropies(system, traj.coherences).sum(axis=1))
-    rows = zip(*(np.asarray(p).tolist() for p in parts))
-    write_csv(Path(cfg.out) / "trajectory.csv", _meta(cfg), columns, rows)
+    del system, traj  # the formatter's blocks reuse the coupling matrix's memory
+    write_csv(Path(cfg.out) / "trajectory.csv", _meta(cfg), columns, np.column_stack(parts))
     return EXIT_OK
 
 

@@ -210,7 +210,8 @@ def build_couplings(r: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
     result. r is overwritten with the couplings and returned;
     SingularCouplingError unless every coupling is finite."""
     with np.errstate(divide="ignore", over="ignore"):
-        r **= epsilon
+        if epsilon != 1:  # x**1 == x, so the pass would change no bit
+            r **= epsilon
         np.divide(eta, r, out=r)
     np.fill_diagonal(r, 0.0)
     if not np.all(np.isfinite(r)):

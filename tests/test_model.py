@@ -161,6 +161,15 @@ class TestCouplings:
                 assert np.array_equal(build_couplings(squareform(pdist(pos)), 1.7, epsilon), ref)
                 assert np.array_equal(build_couplings(r.copy(), 1.7, epsilon), ref)
 
+    def test_unit_epsilon_is_eta_over_r(self):
+        # epsilon = 1 skips the power pass, which changes no bit.
+        _, r = place_particles(SystemConfig(n_particles=300, dimension=3, rng_seed=4),
+                               make_rng(4))
+        off = ~np.eye(len(r), dtype=bool)
+        for epsilon, expected in ((1.0, 1.7 / r[off]), (1, 1.7 / r[off]),
+                                  (2.0, 1.7 / r[off] ** 2.0)):
+            assert np.array_equal(build_couplings(r.copy(), 1.7, epsilon)[off], expected)
+
     def test_coincident_particles_rejected(self):
         pos = np.array([[1.0], [1.0]])
         with pytest.raises(ValueError, match="particles 0 and 1"):
