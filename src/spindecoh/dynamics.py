@@ -18,37 +18,34 @@ log factor takes the terms of the other particle; when every particle has
 p = q = 1/2 (equal superposition) the squared factor is cos^2 itself and
 one log serves the pair. Otherwise each orientation takes its own log.
 
-Two loops evaluate the sums, chosen from the grid alone (`_split_grid`).
-Both run over strips of h rows; a strip takes its pairs (l, k >= l) in
-chunks of w columns. A strip's first chunk starts at its own first row:
-its h x h corner is evaluated in both orientations and reaches its rows
-through the row sums, and the columns past the corner take the other
-orientation through the column sums, so only the corners are evaluated
-twice. Row and column sums are matrix-vector products with ones.
+One strip loop evaluates the sums (`_log_sums`). It runs over strips of
+h rows; a strip takes its pairs (l, k >= l) in chunks of w columns. A
+strip's first chunk starts at its own first row: its h x h corner is
+evaluated in both orientations and reaches its rows through the row sums,
+and the columns past the corner take the other orientation through the
+column sums, so only the corners are evaluated twice. Row and column sums
+are matrix-vector products with ones.
 
-Uniform grids of more than _ONE_BLOCK samples, t = t_0 + (b K + j) step,
-take blocks of K = ceil(sqrt(T)) samples that split each angle as
-A_b + B_j (the last block is computed in full and its samples past the
-grid dropped). Per pair, the (b, j) block of cos(A_b + B_j) =
-cos A cos B - sin A sin B is a rank-2 outer product,
-[cos A_b, sin A_b] . [cos B_j; -sin B_j], and each chunk's S block starts
-go in chunks of m: per chunk of starts, the product is one batched
-`np.matmul` of per-pair (m x 2)(2 x K) operands. The start operand is
-read in place from the chunk's count-first table of e^{i A}; the offsets'
-operand is copied pair-major from the table of e^{-i B} once per chunk,
-because BLAS takes that side only with contiguous rows. Then come the
-square, the log (or scale c^2 + floor and the log, per orientation) and
-the sums, into an (N, C) accumulator whose rows take contiguous adds.
-Its columns are compact: each evaluated chunk of starts is one run of
-m K samples, in chunk order, and `_log_sums` returns the runs (first
-sample, count) with it.
+The samples go in blocks of K consecutive times: K = ceil(sqrt(T)) on a
+uniform grid of more than _ONE_BLOCK samples, else K = 1 (`_split_grid`).
+One rule makes the runs on every grid: each is a chunk of m block starts,
+m K samples (the last block is computed in full and its samples past the
+grid dropped). Per chunk of pairs, a table builder yields each run's
+pair-major (h, w, m K) table of cos^2(2 g t). Then come the log (or scale
+c^2 + floor and the log, per orientation) and the sums, into an (N, C)
+accumulator whose rows take contiguous adds; its columns hold the runs in
+chunk order, and `_log_sums` returns the runs (first sample, count) with
+it. Two builders make the tables, chosen from the grid alone:
 
-Shorter uniform grids and scattered times take one block of all T times:
-per chunk, a time-major (T, h, w) table of cos(2 g t), then the square,
-the log and the sums, row sums as y @ ones and column sums as ones @ y,
-into a (T, N) accumulator, passed on transposed as one run of T samples.
+- rank-2 (K > 1): t = A_b + B_j splits each angle, so per pair the (b, j)
+  block of cos(A_b + B_j) = cos A cos B - sin A sin B is a rank-2 outer
+  product, [cos A_b, sin A_b] . [cos B_j; -sin B_j], and per run the
+  product is one batched `np.matmul` of per-pair (m x 2)(2 x K) operands,
+  which pays only when both S and K are large (hence _ONE_BLOCK);
+- time (K = 1): cos(2 g t) at each time, from rotated phasors on a
+  uniform grid and from a direct cos on scattered times.
 
-One step finishes both (`_finish`): over blocks of at most
+One step finishes the sums (`_finish`): over blocks of at most
 _BLOCK_ELEMENTS / N consecutive samples of a run, the x0.5, the exp and
 the x|a_l b_l| go in place on a (B, N) block. `coherence_magnitudes`
 takes the blocks as rows of its (T, N) result; an ensemble member (`_xi`)
@@ -56,28 +53,23 @@ takes each block's mean over particles, so it holds its log sums and one
 block, never a (T, N) array. Each time still gets one contiguous mean over
 N, so Xi keeps its bits.
 
-A mask of needed samples lets the rank-2 loop skip work: a chunk of m
-block starts none of whose samples is needed is skipped whole and takes
-no columns; its samples are in no run, and Xi reads NaN there (it never
-does at an evaluated sample). Only whole chunks go, because the
-batched products and sums round differently at other chunk sizes; so
-every sample that is evaluated keeps its bits. The one-block loop
-evaluates every time.
-
-The rank-2 product pays only when both S and K are large, hence
-_ONE_BLOCK = 40, a measured crossover (README, "Kernel cost", gives the
-timings).
+A mask of needed samples lets the loop skip work: a run none of whose
+samples is needed is skipped whole and takes no columns; its samples are
+in no run, and Xi reads NaN there (it never does at an evaluated sample).
+Only whole runs go, because the batched products and sums round
+differently at other chunk sizes; so every sample that is evaluated keeps
+its bits.
 
 The phasors come by rotation, not by cos/sin: an exp costs tens of
-multiplies. On a long grid, e^{-i 2g step} and e^{i 2g K step} take one
-complex exp each per chunk (cos and sin at once), e^{i 2g t_0} one more
-when t_0 != 0, and the powers e^{-i 2g j step} and e^{i 2g b K step} are
-complex products: 2 exps per unordered pair (3 when t_0 != 0), whatever
-T, and about K + S ulps of rounding in a phase. On a short grid,
-e^{i 2g step} takes one exp per pair and its T powers are complex
-products, times e^{i 2g t_0} when t_0 != 0: 1 exp per pair (2 when
-t_0 != 0) and about T ulps. A direct cos already carries |2 g t| eps from
-its argument. Scattered times take a direct cos per time and pair.
+multiplies. The rank-2 builder takes e^{-i 2g step} and e^{i 2g K step}
+from one complex exp each per chunk (cos and sin at once), e^{i 2g t_0}
+from one more when t_0 != 0, and the powers e^{-i 2g j step} and
+e^{i 2g b K step} as complex products: 2 exps per unordered pair (3 when
+t_0 != 0), whatever T, and about K + S ulps of rounding in a phase. On a
+uniform grid the time builder takes e^{i 2g step} from one exp per pair
+and its T powers as complex products, times e^{i 2g t_0} when t_0 != 0:
+1 exp per pair (2 when t_0 != 0) and about T ulps. A direct cos already
+carries |2 g t| eps from its argument.
 
 BLAS evaluates each per-pair product with fused multiply-adds, and the
 sums add chunk by chunk in their own order, so outputs depend on the loop
@@ -89,11 +81,10 @@ counts.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import entr
 
 from .model import SpinSystem, _positive_finite
 
@@ -108,9 +99,10 @@ MAX_TRAJECTORY_ELEMENTS = 50_000_000
 # 64K float64 values keep a block's working set inside L2.
 _BLOCK_ELEMENTS = 65_536
 
-# Uniform grids of at most this many samples take the one-block loop: below
-# it the rank-2 product's per-pair matmuls cost more than they save (a
-# measured crossover; README's "Kernel cost" gives the timings).
+# Uniform grids of at most this many samples take blocks of one time (K = 1)
+# and the time builder: below it the rank-2 product's per-pair matmuls cost
+# more than they save (a measured crossover; README's "Kernel cost" gives
+# the timings).
 _ONE_BLOCK = 40
 
 
@@ -136,7 +128,7 @@ class Trajectory:
 def _split_grid(times: np.ndarray) -> tuple[float | None, int]:
     """(step, K): the step of a uniform grid, None for other times, and the
     samples per block, K = ceil(sqrt(T)) on a uniform grid of more than
-    _ONE_BLOCK samples, else 1 (one block of every time). The step is taken
+    _ONE_BLOCK samples, else 1 (each time a block start). The step is taken
     over the whole span, so a grid far from 0 whose first difference carries
     the rounding of its first times is uniform too."""
     if times.size > 1:
@@ -163,9 +155,10 @@ def _phasor_powers(angle: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _kernel_geometry(n: int, n_starts: int, k: int) -> tuple[int, int, int]:
-    """Columns per chunk w, block starts per chunk m and rows per strip h;
-    the one-block loop takes (S, K) = (T, 1) and m = T. A chunk's phasor
-    tables hold max(K, S) x h x w elements, within the budget since h <= w.
+    """Columns per chunk w, block starts per chunk m and rows per strip h
+    for S block starts of K samples ((S, K) = (T, 1) on a K = 1 grid).
+    A chunk's phasor tables hold max(K, S) x h x w elements, within the
+    budget since h <= w, and a run's cos^2 table h x w x m K.
     Block starts take what the budget allows at sqrt(w) rows, then rows
     take what it leaves: thin strips keep the corners small, long ones keep
     each per-pair matmul large."""
@@ -198,150 +191,122 @@ def _strip_chunks(n: int, w: int, h: int) -> Iterator[tuple[int, int, int, int, 
             yield i, ie, c0, min(c0 + w, n), max(c0, ie) - c0
 
 
-def _pair_log_sums(system: SpinSystem, starts: np.ndarray, offsets: np.ndarray,
-                   run: np.ndarray | None = None) -> tuple[np.ndarray, list]:
-    """(sums, runs): sum_{k != l} ln|factor_lk|^2 at t = starts[b] +
-    offsets[j] on a uniform grid (offsets j step, K > 1) as an (N, C) array
-    whose columns hold the runs (first sample, count) of grid samples
-    b K + j in turn; -inf where a factor is exactly 0. Each chunk of pairs
-    takes its block starts in chunks of m, and each chunk's product
-    cos(A + B) is one batched matmul of per-pair (m x 2)(2 x K) operands;
-    each temporary holds ~_BLOCK_ELEMENTS. With a per-start mask `run`, a
-    chunk of starts none of which it marks is skipped and takes no columns;
-    each evaluated chunk is one run, in chunk order, and keeps its bits."""
-    n, k, n_starts = system.n_particles, offsets.size, starts.size
-    step = offsets[1]
-    scale, floor, unit = _factor_terms(system)
-    w, m, h = _kernel_geometry(n, n_starts, k)
-    ones = np.ones(w)  # row and column sums as matrix-vector products
-    # Each evaluated chunk of starts is one run (first sample, count); its
-    # columns follow those of the runs before it.
-    runs = [(b0 * k, min(m, n_starts - b0) * k) for b0 in range(0, n_starts, m)
-            if run is None or run[b0:b0 + m].any()]
-    sums = np.zeros((n, sum(count for _, count in runs)))
-    # Per chunk, the matmul reads the block starts' [cos A, sin A] rows in
-    # place from the count-first table e^{i A} and the offsets'
-    # [cos B; -sin B] from a pair-major copy of e^{-i B}.
+def _rank2_tables(starts: np.ndarray, step: float, k: int, runs: list, table: np.ndarray,
+                  h: int, w: int) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+    """Table builder for blocks t = starts[b] + j step, j < K: given a
+    chunk's 2g, it yields each run's cos^2 table as one batched matmul of
+    per-pair (m x 2)(2 x K) operands, [cos A_b, sin A_b] . [cos B_j; -sin B_j]
+    with A_b = starts[b] and B_j = j step. The start operand is read in
+    place from the count-first table e^{i A}; the offsets' operand is
+    copied pair-major from e^{-i B}, since BLAS takes that side only with
+    contiguous rows."""
+    n_starts = starts.size
     phase_b = np.empty(k * h * w, dtype=complex)
     phase_a = np.empty(n_starts * h * w, dtype=complex)
     op_b = np.empty(h * w * 2 * k)
-    prod = np.empty(h * w * m * k)
-    if not unit:  # the row orientation takes the column particle's terms
-        y_row = np.empty_like(prod)
-        scale_cols = np.repeat(scale[:, None], m * k, axis=1)
-        floor_cols = np.repeat(floor[:, None], m * k, axis=1)
-    with np.errstate(divide="ignore"):  # an exact zero factor gives log 0 = -inf
-        for i, ie, c0, c1, cut in _strip_chunks(n, w, h):
-            hh, ww = ie - i, c1 - c0
-            g2 = 2.0 * system.couplings[i:ie, c0:c1]
-            # e^{-i 2g B_j}, B_j = j step, and e^{i 2g A_b}, A_b = t_0 + b K step
-            e_b = _phasor_powers(-step * g2, phase_b[:k * hh * ww].reshape(k, hh, ww))
-            e_a = _phasor_powers(k * step * g2,
-                                 phase_a[:n_starts * hh * ww].reshape(n_starts, hh, ww))
-            if starts[0] != 0.0:
-                e_a *= np.exp(1j * starts[0] * g2)
-            op = op_b[:hh * ww * 2 * k].reshape(hh, ww, 2, k)
-            np.copyto(op, e_b.view(float).reshape(k, hh, ww, 2).transpose(1, 2, 3, 0))
-            cs_a = e_a.view(float).reshape(n_starts, hh, ww, 2).transpose(1, 2, 0, 3)
-            col = 0
-            for first, x in runs:
-                b0, mb = first // k, x // k
-                c = np.matmul(cs_a[:, :, b0:b0 + mb], op,
-                              out=prod[:hh * ww * x].reshape(hh, ww, mb, k))
-                c *= c  # cos^2(2 g (A + B_j)), shared by both orientations
-                if unit:
-                    y = np.log(c, out=c)
-                else:
-                    y = np.multiply(c.reshape(hh, ww, x), scale_cols[c0:c1, :x],
-                                    out=y_row[:c.size].reshape(hh, ww, x))
-                    y += floor_cols[c0:c1, :x]
-                    np.log(y, out=y)
-                y = y.reshape(hh, ww, x)
-                if c0 == i:  # the k = l factor is 1
-                    y.reshape(hh * ww, x)[::ww + 1] = 0.0
-                sums[i:ie, col:col + x] += ones[:ww] @ y
-                if cut < ww:
-                    y = y[:, cut:]
-                    if not unit:  # the column orientation takes the row particle's terms
-                        y = c.reshape(hh, ww, x)[:, cut:]
-                        y *= scale[i:ie, None, None]
-                        y += floor[i:ie, None, None]
-                        np.log(y, out=y)
-                    sums[c0 + cut:c1, col:col + x] += (
-                        ones[:hh] @ y.reshape(hh, -1)).reshape(ww - cut, x)
-                col += x
-    return sums, runs
+
+    def tables(g2: np.ndarray) -> Iterator[np.ndarray]:
+        hh, ww = g2.shape
+        e_b = _phasor_powers(-step * g2, phase_b[:k * hh * ww].reshape(k, hh, ww))
+        e_a = _phasor_powers(k * step * g2, phase_a[:n_starts * hh * ww].reshape(n_starts, hh, ww))
+        if starts[0] != 0.0:
+            e_a *= np.exp(1j * starts[0] * g2)
+        op = op_b[:hh * ww * 2 * k].reshape(hh, ww, 2, k)
+        np.copyto(op, e_b.view(float).reshape(k, hh, ww, 2).transpose(1, 2, 3, 0))
+        cs_a = e_a.view(float).reshape(n_starts, hh, ww, 2).transpose(1, 2, 0, 3)
+        for first, x in runs:
+            b0, mb = first // k, x // k
+            c = np.matmul(cs_a[:, :, b0:b0 + mb], op,
+                          out=table[:hh * ww * x].reshape(hh, ww, mb, k))
+            c *= c
+            yield c.reshape(hh, ww, x)
+    return tables
 
 
-def _time_log_sums(system: SpinSystem, times: np.ndarray, step: float | None) -> np.ndarray:
-    """sum_{k != l} ln|factor_lk|^2 at every time, shape (T, N); -inf where a
-    factor is exactly 0. One block of all T times: per chunk of pairs, a
-    time-major (T, h, w) table of cos(2 g t), by rotation on a uniform grid
-    (step given), else by a direct cos; each temporary holds ~_BLOCK_ELEMENTS."""
-    n, t = system.n_particles, times.size
-    scale, floor, unit = _factor_terms(system)
-    w, _, h = _kernel_geometry(n, t, 1)
-    ones = np.ones(w)  # row and column sums as matrix-vector products
-    sums = np.zeros((t, n))
-    cos2 = np.empty(t * h * w)
+def _time_tables(times: np.ndarray, step: float | None, runs: list, table: np.ndarray,
+                 h: int, w: int) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+    """Table builder for blocks of one time (K = 1): given a chunk's
+    2g, it yields each run's cos^2 table, from the rotated phasors of all T
+    times on a uniform grid (step given), else from a direct cos."""
     if step is not None:
-        phase = np.empty(t * h * w, dtype=complex)
-    if not unit:  # the row orientation takes the column particle's terms
-        y_row = np.empty_like(cos2)
-    with np.errstate(divide="ignore"):  # an exact zero factor gives log 0 = -inf
-        for i, ie, c0, c1, cut in _strip_chunks(n, w, h):
-            hh, ww = ie - i, c1 - c0
-            g2 = 2.0 * system.couplings[i:ie, c0:c1]
-            c = cos2[:t * hh * ww].reshape(t, hh, ww)
+        phase = np.empty(times.size * h * w, dtype=complex)
+
+    def tables(g2: np.ndarray) -> Iterator[np.ndarray]:
+        hh, ww = g2.shape
+        if step is not None:  # e^{i 2g t_j} = e^{i 2g t_0} e^{i 2g j step}
+            e = _phasor_powers(step * g2, phase[:times.size * hh * ww].reshape(-1, hh, ww))
+            if times[0] != 0.0:
+                e *= np.exp(1j * times[0] * g2)
+        for first, x in runs:
+            c = table[:hh * ww * x].reshape(hh, ww, x)
             if step is None:
-                np.cos(np.multiply(times[:, None, None], g2, out=c), out=c)
+                np.cos(np.multiply(g2[:, :, None], times[first:first + x], out=c), out=c)
                 c *= c
-            else:  # e^{i 2g t_j} = e^{i 2g t_0} e^{i 2g j step}
-                e = _phasor_powers(step * g2, phase[:c.size].reshape(c.shape))
-                if times[0] != 0.0:
-                    e *= np.exp(1j * times[0] * g2)
-                np.square(e.real, out=c)
-            if unit:
-                y = np.log(c, out=c)
             else:
-                y = np.multiply(c, scale[c0:c1], out=y_row[:c.size].reshape(c.shape))
-                y += floor[c0:c1]
-                np.log(y, out=y)
-            if c0 == i:  # the k = l factor is 1
-                y.reshape(t, hh * ww)[:, ::ww + 1] = 0.0
-            sums[:, i:ie] += (y.reshape(t * hh, ww) @ ones[:ww]).reshape(t, hh)
-            if cut < ww:
-                y = y[:, :, cut:]
-                if not unit:  # the column orientation takes the row particle's terms
-                    y = c[:, :, cut:]
-                    y *= scale[i:ie, None]
-                    y += floor[i:ie, None]
-                    np.log(y, out=y)
-                sums[:, c0 + cut:c1] += ones[:hh] @ y
-    return sums
+                np.square(e[first:first + x].real.transpose(1, 2, 0), out=c)
+            yield c
+    return tables
 
 
 def _log_sums(system: SpinSystem, times: np.ndarray,
               need: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """(sums, runs): sum_{k != l} ln|factor_lk|^2 = 2 ln(|z_l| / |a_l b_l|)
     as an (N, C) array whose columns hold the runs (first sample, count) of
-    `times` in turn; -inf where a factor is exactly 0. With a per-sample
-    mask `need`, the rank-2 loop skips each chunk of block starts that holds
-    no needed sample, and its samples are in no run; the one-block loop
-    evaluates every time."""
+    `times` in turn; -inf where a factor is exactly 0. Each run is a chunk
+    of m block starts; with a per-sample mask `need`, a chunk that holds no
+    needed sample is skipped and its samples are in no run. Each temporary
+    holds ~_BLOCK_ELEMENTS."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
+    n = system.n_particles
     step, k = _split_grid(times)
-    if k == 1:
-        return _time_log_sums(system, times, step).T, [(0, times.size)]
-    starts = times[::k]
-    run = None
-    if need is not None:  # a block start runs if any of its K samples is needed
-        run = np.zeros(starts.size * k, dtype=bool)
-        run[:times.size] = need
-        run = run.reshape(starts.size, k).any(axis=1)
-    sums, runs = _pair_log_sums(system, starts, step * np.arange(k), run)
+    n_starts = -(-times.size // k)
+    w, m, h = _kernel_geometry(n, n_starts, k)
+    # A block start runs if any of its K samples is needed.
+    run = np.zeros(n_starts * k, dtype=bool)
+    run[:times.size] = True if need is None else need
+    run = run.reshape(n_starts, k).any(axis=1)
+    runs = [(b0 * k, min(m, n_starts - b0) * k) for b0 in range(0, n_starts, m)
+            if run[b0:b0 + m].any()]
+    sums = np.zeros((n, sum(count for _, count in runs)))
+    table = np.empty(h * w * m * k)
+    if k > 1:
+        tables = _rank2_tables(times[::k], step, k, runs, table, h, w)
+    else:
+        tables = _time_tables(times, step, runs, table, h, w)
+    scale, floor, unit = _factor_terms(system)
+    ones = np.ones(w)  # row and column sums as matrix-vector products
+    if not unit:  # the row orientation takes the column particle's terms
+        y_row = np.empty_like(table)
+        scale_cols = np.repeat(scale[:, None], m * k, axis=1)
+        floor_cols = np.repeat(floor[:, None], m * k, axis=1)
+    with np.errstate(divide="ignore"):  # an exact zero factor gives log 0 = -inf
+        for i, ie, c0, c1, cut in _strip_chunks(n, w, h):
+            hh, ww = ie - i, c1 - c0
+            col = 0
+            for (_, x), c in zip(runs, tables(2.0 * system.couplings[i:ie, c0:c1])):
+                # c: cos^2(2 g t), (hh, ww, x), shared by both orientations
+                if unit:
+                    y = np.log(c, out=c)
+                else:
+                    y = np.multiply(c, scale_cols[c0:c1, :x],
+                                    out=y_row[:c.size].reshape(hh, ww, x))
+                    y += floor_cols[c0:c1, :x]
+                    np.log(y, out=y)
+                if c0 == i:  # the k = l factor is 1
+                    y.reshape(hh * ww, x)[::ww + 1] = 0.0
+                sums[i:ie, col:col + x] += ones[:ww] @ y
+                if cut < ww:
+                    y = y[:, cut:]
+                    if not unit:  # the column orientation takes the row particle's terms
+                        y = c[:, cut:]
+                        y *= scale[i:ie, None, None]
+                        y += floor[i:ie, None, None]
+                        np.log(y, out=y)
+                    sums[c0 + cut:c1, col:col + x] += (
+                        ones[:hh] @ y.reshape(hh, -1)).reshape(ww - cut, x)
+                col += x
     # The last block is computed in full: its samples past the grid are dropped.
     return sums, [(first, min(count, times.size - first)) for first, count in runs]
 
@@ -386,10 +351,10 @@ def coherence_magnitudes(system: SpinSystem, times: np.ndarray) -> np.ndarray:
 
 
 def particle_entropies(system: SpinSystem, z_abs: np.ndarray) -> np.ndarray:
-    """Per-particle entropies (nats) from precomputed |z_l| values;
-    broadcasts over leading axes of z_abs.
+    """Per-particle entropies (nats), -sum lam ln lam, from precomputed
+    |z_l| values; broadcasts over leading axes of z_abs.
 
-    The eigenvalues of [[|a|^2, z], [z*, |b|^2]] are 0.5 +- root with
+    The eigenvalues lam of [[|a|^2, z], [z*, |b|^2]] are 0.5 +- root with
     root = 0.5 sqrt(1 - 4 (|a|^2 |b|^2 - |z|^2)).
     """
     pq = np.abs(system.amp_a) ** 2 * np.abs(system.amp_b) ** 2
@@ -397,7 +362,10 @@ def particle_entropies(system: SpinSystem, z_abs: np.ndarray) -> np.ndarray:
     if not np.all((radicand >= -EIGENVALUE_CLAMP) & (radicand <= 1.0 + EIGENVALUE_CLAMP)):
         raise RadicandError("eigenvalue radicand outside [0, 1] beyond round-off")
     root = 0.5 * np.sqrt(np.clip(radicand, 0.0, 1.0))
-    return entr(0.5 + root) + entr(0.5 - root)
+    lam = 0.5 + np.stack((root, -root))
+    lam[lam == 0.0] = 1.0  # 0 ln 0 counts 0, as 1 ln 1
+    # 0.0 - (...) keeps a pure state's entropy at +0.0, not -0.0
+    return 0.0 - (lam * np.log(lam)).sum(axis=0)
 
 
 def _time_grid(dt: float, t_max: float, n_particles: int) -> np.ndarray:

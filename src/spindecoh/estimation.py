@@ -116,11 +116,14 @@ def decay_law(n: float, rho: float, eta: float,
 
 
 def _check_windows(times: np.ndarray, average=None, fit=None) -> np.ndarray | None:
-    """The window rule on the sample grid `times`: an averaging window
-    (t1, t2) needs times[0] <= t1 < t2 <= times[-1] within 1e-9 of a step
-    (so no entry is NaN or infinite); a fit window (lo, hi) needs finite
-    lo < hi and >= 3 samples once hi is clipped to times[-1]. Raises
-    WindowError; returns the fit window's sample mask (None without one)."""
+    """The window rule on the sample grid `times`: the grid needs >= 2
+    samples; an averaging window (t1, t2) needs times[0] <= t1 < t2 <=
+    times[-1] within 1e-9 of a step (so no entry is NaN or infinite); a fit
+    window (lo, hi) needs finite lo < hi and >= 3 samples once hi is clipped
+    to times[-1]. Raises WindowError; returns the fit window's sample mask
+    (None without one)."""
+    if times.size < 2:
+        raise WindowError(f"the grid needs >= 2 samples, got {times.size}")
     if average is not None:
         t1, t2 = average
         tol = 1e-9 * (times[1] - times[0])
@@ -194,6 +197,7 @@ def fit_decay(
     is the 1/e-crossing initial guess, widened to hold the first 3 samples
     if the cap allows. Bounds: tau > 0, 0 <= c < 0.5.
     """
+    _check_windows(trajectory.times)  # the initial guess needs samples
     tau0, c0, _ = _initial_guess(trajectory)
     fit_window = _fit_window(trajectory.times, tau0, fit_window)
     mask = _check_windows(trajectory.times, fit=fit_window)

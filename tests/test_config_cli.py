@@ -651,8 +651,9 @@ class TestOptionTable:
         assert result.stdout.strip() == "False"
 
     def test_scipy_uses_pinned(self):
-        # Distances and couplings are built in numpy; only these names are
-        # left to replace before scipy can become a test-only dependency.
+        # Distances, couplings and entropies are built in numpy; only this
+        # name is left to replace before scipy can become a test-only
+        # dependency.
         uses = set()
         for path in Path(spindecoh.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -664,7 +665,7 @@ class TestOptionTable:
                     continue
                 uses |= {(path.stem, name) for name in names
                          if name == "scipy" or name.startswith("scipy.")}
-        assert uses == {("dynamics", "scipy.special.entr"), ("estimation", "scipy.optimize")}
+        assert uses == {("estimation", "scipy.optimize")}
 
 
 class TestPublicSurface:

@@ -375,15 +375,15 @@ def log_decay(system, times, need=None):
 def kernel_geometry(times, n):
     """The kernel's columns per chunk, block starts per chunk and rows per
     strip for this time grid and N, and the grid's block starts (every
-    time, on a grid that takes the one-block loop)."""
+    time, on a grid of K = 1)."""
     k = dynamics._split_grid(np.asarray(times, dtype=float))[1]
     n_starts = -(-len(times) // k)
     return (*dynamics._kernel_geometry(n, n_starts, k), n_starts)
 
 
 SCATTERED = np.random.default_rng(8).random(7) * 100
-# The longest uniform grid that takes the one-block loop, and the shortest
-# that takes the rank-2 product.
+# The longest uniform grid that takes the time builder (K = 1), and the
+# shortest that takes the rank-2 product.
 ONE_BLOCK = 2.5 * np.arange(dynamics._ONE_BLOCK)
 PAST_ONE_BLOCK = 2.5 * np.arange(dynamics._ONE_BLOCK + 1)
 
@@ -442,7 +442,7 @@ class TestKernel:
         # Small blocks cut N = 50 into several strips, each taking several
         # column chunks with a ragged last one, and a long uniform grid's
         # block starts into several chunks. Scattered times and short grids
-        # take the one-block loop: each chunk's table holds every time.
+        # take K = 1 and, at these sizes, one run of every time.
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", elements)
         n = 50
         w, m, h, n_starts = kernel_geometry(times, n)
@@ -563,6 +563,24 @@ class TestKernel:
         need[0] = True
         assert np.array_equal(log_decay(s, times, need), log_decay(s, times))
 
+    @pytest.mark.parametrize("system", ["equal-superposition", "random-complex"])
+    def test_scattered_runs(self, monkeypatch, system):
+        # A small budget cuts 300 scattered times into runs of m = 256 and
+        # 44 samples; the mask skips the second run whole, as on a long grid.
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 256)
+        times = np.random.default_rng(4).random(300) * 100
+        n = 50
+        _, m, _, n_starts = kernel_geometry(times, n)
+        assert dynamics._split_grid(times) == (None, 1) and m == 256 < n_starts
+        s = kernel_system(system, n, seed=7)
+        mags = coherence_magnitudes(s, times)
+        assert np.abs(mags - row_blocked_magnitudes(s, times)).max() <= 1e-13
+        need = np.zeros(times.size, dtype=bool)
+        need[:10] = True
+        xi = dynamics._xi(s, times, need)
+        assert np.array_equal(np.isnan(xi), np.arange(times.size) >= m)
+        assert np.array_equal(xi[:m], dynamics._xi(s, times)[:m])
+
     def test_bounds_and_time_reversal(self):
         s = random_system(50, seed=6, amplitude_mode="random-complex")
         ceiling = np.abs(s.amp_a * np.conj(s.amp_b))
@@ -667,8 +685,8 @@ def permuted(system, perm):
 @st.composite
 def systems_and_times(draw):
     """A system of up to 300 particles, so several strips and a ragged last
-    chunk, on a uniform grid (short ones take the one-block loop, longer
-    ones the rank-2 product) or at scattered times (the one-block loop)."""
+    chunk, on a uniform grid (short ones take the time builder, longer ones
+    the rank-2 product) or at scattered times (the time builder)."""
     n = draw(st.integers(1, 300))
     mode = draw(st.sampled_from(["equal-superposition", "random-complex"]))
     system = random_system(n, seed=draw(st.integers(0, 2**32 - 1)), amplitude_mode=mode)

@@ -54,6 +54,10 @@ class TestTimeAverage:
             time_average(tr, 5, 15)
         with pytest.raises(WindowError):
             time_average(tr, 8, 3)
+        # Grids of fewer than 2 samples hold no window.
+        for n in (0, 1):
+            with pytest.raises(WindowError, match=">= 2 samples"):
+                time_average(Trajectory(np.zeros(n), np.full(n, 0.5)), 0, 1)
 
 
 class TestFitDecay:
@@ -97,6 +101,12 @@ class TestFitDecay:
     def test_degenerate_window(self):
         with pytest.raises(WindowError):
             fit_decay(synthetic_trajectory(1.0, 0.1), fit_window=(40.0, 40.05))
+        # Grids of fewer than 2 samples fail before any mean over no samples.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (0, 1):
+                with pytest.raises(WindowError, match=">= 2 samples"):
+                    fit_decay(Trajectory(np.zeros(n), np.full(n, 0.5)))
 
     def test_stalled_fit_stops_without_warnings(self):
         # At dt = 7 this N = 3 fit drives tau to its 1e-12 floor: exp(-t / tau)
