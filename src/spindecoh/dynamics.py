@@ -30,20 +30,21 @@ The samples go in blocks of K consecutive times: K = ceil(sqrt(T)) on a
 uniform grid of more than _ONE_BLOCK samples, else K = 1 (`_split_grid`).
 One rule makes the runs on every grid: each is a chunk of m block starts,
 m K samples (the last block is computed in full and its samples past the
-grid dropped). Per chunk of pairs, a table builder yields each run's
-pair-major (h, w, m K) table of cos^2(2 g t). Then come the log (or scale
-c^2 + floor and the log, per orientation) and the sums, into an (N, C)
-accumulator whose rows take contiguous adds; its columns hold the runs in
-chunk order, and `_log_sums` returns the runs (first sample, count) with
-it. Two builders make the tables, chosen from the grid alone:
+grid dropped). Per chunk of pairs, one table builder (`_tables`) yields
+each run's pair-major (h, w, m K) table of cos^2(2 g t). Then come the log
+(or scale c^2 + floor and the log, per orientation) and the sums, into an
+(N, C) accumulator whose rows take contiguous adds; its columns hold the
+runs in chunk order, and `_log_sums` returns the runs (first sample,
+count) with it.
 
-- rank-2 (K > 1): t = A_b + B_j splits each angle, so per pair the (b, j)
-  block of cos(A_b + B_j) = cos A cos B - sin A sin B is a rank-2 outer
-  product, [cos A_b, sin A_b] . [cos B_j; -sin B_j], and per run the
-  product is one batched `np.matmul` of per-pair (m x 2)(2 x K) operands,
-  which pays only when both S and K are large (hence _ONE_BLOCK);
-- time (K = 1): cos(2 g t) at each time, from rotated phasors on a
-  uniform grid and from a direct cos on scattered times.
+The builder splits each time as t = A_b + B_j, a block start A_b =
+times[b K] and an offset B_j = j step, and makes one count-first table of
+the starts per chunk. With K = 1 the table is cos^2 A, the square of the
+starts' table. With K > 1, per pair the (b, j) block of cos(A_b + B_j) =
+cos A cos B - sin A sin B is a rank-2 outer product,
+[cos A_b, sin A_b] . [cos B_j; -sin B_j], and per run the product is one
+batched `np.matmul` of per-pair (m x 2)(2 x K) operands, which pays only
+when both S and K are large (hence _ONE_BLOCK).
 
 One step finishes the sums (`_finish`): over blocks of at most
 _BLOCK_ELEMENTS / N consecutive samples of a run, the x0.5, the exp and
@@ -60,16 +61,15 @@ Only whole runs go, because the batched products and sums round
 differently at other chunk sizes; so every sample that is evaluated keeps
 its bits.
 
-The phasors come by rotation, not by cos/sin: an exp costs tens of
-multiplies. The rank-2 builder takes e^{-i 2g step} and e^{i 2g K step}
-from one complex exp each per chunk (cos and sin at once), e^{i 2g t_0}
-from one more when t_0 != 0, and the powers e^{-i 2g j step} and
-e^{i 2g b K step} as complex products: 2 exps per unordered pair (3 when
-t_0 != 0), whatever T, and about K + S ulps of rounding in a phase. On a
-uniform grid the time builder takes e^{i 2g step} from one exp per pair
-and its T powers as complex products, times e^{i 2g t_0} when t_0 != 0:
-1 exp per pair (2 when t_0 != 0) and about T ulps. A direct cos already
-carries |2 g t| eps from its argument.
+On a uniform grid the phasors come by rotation, not by cos/sin: an exp
+costs tens of multiplies. The starts' table e^{i 2g b K step} takes one
+complex exp per chunk (cos and sin at once) and its powers for the
+S = ceil(T / K) starts as complex products, times e^{i 2g t_0} from one
+more exp when t_0 != 0; with K > 1 the offsets' e^{-i 2g j step} take one
+more exp and K products. That is 1 exp per unordered pair with K = 1 and
+2 with K > 1 (one more when t_0 != 0), whatever T, and about K + S ulps
+of rounding in a phase. On scattered times the starts' table is a direct
+cos, which already carries |2 g t| eps from its argument.
 
 BLAS evaluates each per-pair product with fused multiply-adds, and the
 sums add chunk by chunk in their own order, so outputs depend on the loop
@@ -99,10 +99,10 @@ MAX_TRAJECTORY_ELEMENTS = 50_000_000
 # 64K float64 values keep a block's working set inside L2.
 _BLOCK_ELEMENTS = 65_536
 
-# Uniform grids of at most this many samples take blocks of one time (K = 1)
-# and the time builder: below it the rank-2 product's per-pair matmuls cost
-# more than they save (a measured crossover; README's "Kernel cost" gives
-# the timings).
+# Uniform grids of at most this many samples take blocks of one time (K = 1),
+# whose cos^2 tables square the block starts' table: below it the rank-2
+# product's per-pair matmuls cost more than they save (a measured crossover;
+# README's "Kernel cost" gives the timings).
 _ONE_BLOCK = 40
 
 
@@ -191,60 +191,46 @@ def _strip_chunks(n: int, w: int, h: int) -> Iterator[tuple[int, int, int, int, 
             yield i, ie, c0, min(c0 + w, n), max(c0, ie) - c0
 
 
-def _rank2_tables(starts: np.ndarray, step: float, k: int, runs: list, table: np.ndarray,
-                  h: int, w: int) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
-    """Table builder for blocks t = starts[b] + j step, j < K: given a
-    chunk's 2g, it yields each run's cos^2 table as one batched matmul of
-    per-pair (m x 2)(2 x K) operands, [cos A_b, sin A_b] . [cos B_j; -sin B_j]
-    with A_b = starts[b] and B_j = j step. The start operand is read in
-    place from the count-first table e^{i A}; the offsets' operand is
-    copied pair-major from e^{-i B}, since BLAS takes that side only with
-    contiguous rows."""
-    n_starts = starts.size
-    phase_b = np.empty(k * h * w, dtype=complex)
-    phase_a = np.empty(n_starts * h * w, dtype=complex)
-    op_b = np.empty(h * w * 2 * k)
+def _tables(times: np.ndarray, step: float | None, k: int, runs: list, table: np.ndarray,
+            h: int, w: int) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+    """Table builder for blocks t = A_b + B_j of K samples, A_b = times[b K]
+    and B_j = j step: given a chunk's 2g, it yields each run's cos^2 table.
+    The starts' table is count-first: e^{i A} by rotation on a uniform grid,
+    cos A on scattered times (K = 1). K = 1 tables are its square; K > 1
+    tables are one batched matmul of per-pair (m x 2)(2 x K) operands,
+    [cos A_b, sin A_b] . [cos B_j; -sin B_j], with the start operand read in
+    place and the offsets' operand copied pair-major from e^{-i B}, since
+    BLAS takes that side only with contiguous rows."""
+    starts = times[::k]
+    phase_a = np.empty(starts.size * h * w, dtype=float if step is None else complex)
+    if k > 1:
+        phase_b = np.empty(k * h * w, dtype=complex)
+        op_b = np.empty(h * w * 2 * k)
 
     def tables(g2: np.ndarray) -> Iterator[np.ndarray]:
         hh, ww = g2.shape
-        e_b = _phasor_powers(-step * g2, phase_b[:k * hh * ww].reshape(k, hh, ww))
-        e_a = _phasor_powers(k * step * g2, phase_a[:n_starts * hh * ww].reshape(n_starts, hh, ww))
-        if starts[0] != 0.0:
-            e_a *= np.exp(1j * starts[0] * g2)
-        op = op_b[:hh * ww * 2 * k].reshape(hh, ww, 2, k)
-        np.copyto(op, e_b.view(float).reshape(k, hh, ww, 2).transpose(1, 2, 3, 0))
-        cs_a = e_a.view(float).reshape(n_starts, hh, ww, 2).transpose(1, 2, 0, 3)
-        for first, x in runs:
-            b0, mb = first // k, x // k
-            c = np.matmul(cs_a[:, :, b0:b0 + mb], op,
-                          out=table[:hh * ww * x].reshape(hh, ww, mb, k))
-            c *= c
-            yield c.reshape(hh, ww, x)
-    return tables
-
-
-def _time_tables(times: np.ndarray, step: float | None, runs: list, table: np.ndarray,
-                 h: int, w: int) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
-    """Table builder for blocks of one time (K = 1): given a chunk's
-    2g, it yields each run's cos^2 table, from the rotated phasors of all T
-    times on a uniform grid (step given), else from a direct cos."""
-    if step is not None:
-        phase = np.empty(times.size * h * w, dtype=complex)
-
-    def tables(g2: np.ndarray) -> Iterator[np.ndarray]:
-        hh, ww = g2.shape
-        if step is not None:  # e^{i 2g t_j} = e^{i 2g t_0} e^{i 2g j step}
-            e = _phasor_powers(step * g2, phase[:times.size * hh * ww].reshape(-1, hh, ww))
-            if times[0] != 0.0:
-                e *= np.exp(1j * times[0] * g2)
+        a = phase_a[:starts.size * hh * ww].reshape(-1, hh, ww)
+        if step is None:
+            cos_a = np.cos(np.multiply(starts[:, None, None], g2, out=a), out=a)
+        else:  # e^{i A_b} = e^{i 2g t_0} e^{i 2g b K step}
+            _phasor_powers(k * step * g2, a)
+            if starts[0] != 0.0:
+                a *= np.exp(1j * starts[0] * g2)
+            cos_a = a.real
+        if k > 1:
+            e_b = _phasor_powers(-step * g2, phase_b[:k * hh * ww].reshape(k, hh, ww))
+            op = op_b[:hh * ww * 2 * k].reshape(hh, ww, 2, k)
+            np.copyto(op, e_b.view(float).reshape(k, hh, ww, 2).transpose(1, 2, 3, 0))
+            cs_a = a.view(float).reshape(-1, hh, ww, 2).transpose(1, 2, 0, 3)
         for first, x in runs:
             c = table[:hh * ww * x].reshape(hh, ww, x)
-            if step is None:
-                np.cos(np.multiply(g2[:, :, None], times[first:first + x], out=c), out=c)
-                c *= c
+            if k == 1:
+                np.square(cos_a[first:first + x].transpose(1, 2, 0), out=c)
             else:
-                np.square(e[first:first + x].real.transpose(1, 2, 0), out=c)
-            yield c
+                b0, mb = first // k, x // k
+                c = np.matmul(cs_a[:, :, b0:b0 + mb], op, out=c.reshape(hh, ww, mb, k))
+                c *= c
+            yield c.reshape(hh, ww, x)
     return tables
 
 
@@ -271,10 +257,7 @@ def _log_sums(system: SpinSystem, times: np.ndarray,
             if run[b0:b0 + m].any()]
     sums = np.zeros((n, sum(count for _, count in runs)))
     table = np.empty(h * w * m * k)
-    if k > 1:
-        tables = _rank2_tables(times[::k], step, k, runs, table, h, w)
-    else:
-        tables = _time_tables(times, step, runs, table, h, w)
+    tables = _tables(times, step, k, runs, table, h, w)
     scale, floor, unit = _factor_terms(system)
     ones = np.ones(w)  # row and column sums as matrix-vector products
     if not unit:  # the row orientation takes the column particle's terms

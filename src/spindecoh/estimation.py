@@ -165,27 +165,25 @@ def _tail_size(n_samples: int) -> int:
     return max(1, int(TAIL_FRACTION * n_samples))
 
 
-def _initial_guess(trajectory: Trajectory) -> tuple[float, float, int]:
-    """(tau0, c0, read): c0 is the tail mean, tau0 the first time Xi falls
-    to c0 + (0.5 - c0) / e (1 without one), and the search for it reads the
-    first `read` samples."""
-    xi_vals = trajectory.xi
+def _fit_setup(trajectory: Trajectory, fit_window) -> tuple[float, float, int, tuple, np.ndarray]:
+    """(tau0, c0, read, window, mask): c0 is the tail mean, tau0 the first
+    time Xi falls to c0 + (0.5 - c0) / e (1 without one), and the search for
+    it reads the first `read` samples; the window is fit_window, or the auto
+    window [0, min(20 tau0, 50)] widened to the first 3 samples within the
+    cap, and mask its samples. Raises WindowError as _check_windows."""
+    times, xi_vals = trajectory.times, trajectory.xi
+    _check_windows(times)  # the initial guess needs samples
     c0 = float(np.clip(xi_vals[-_tail_size(xi_vals.size):].mean(), 0.0, 0.499))
     level = c0 + (0.5 - c0) / np.e
     below = np.nonzero(xi_vals <= level)[0]
-    tau0 = float(trajectory.times[below[0]]) if below.size else 1.0
+    tau0 = float(times[below[0]]) if below.size else 1.0
     if tau0 <= 0.0:
         tau0 = 1.0
-    return tau0, c0, int(below[0]) + 1 if below.size else xi_vals.size
-
-
-def _fit_window(times: np.ndarray, tau0: float, fit_window) -> tuple[float, float]:
-    """fit_window, or the auto window [0, min(20 tau0, 50)] widened to the
-    first 3 samples within the cap."""
-    if fit_window is not None:
-        return fit_window
-    third = times[min(2, times.size - 1)]
-    return 0.0, min(max(AUTO_WINDOW_FACTOR * tau0, third), AUTO_WINDOW_CAP)
+    read = int(below[0]) + 1 if below.size else xi_vals.size
+    if fit_window is None:
+        third = times[min(2, times.size - 1)]
+        fit_window = 0.0, min(max(AUTO_WINDOW_FACTOR * tau0, third), AUTO_WINDOW_CAP)
+    return tau0, c0, read, fit_window, _check_windows(times, fit=fit_window)
 
 
 def fit_decay(
@@ -197,17 +195,13 @@ def fit_decay(
     is the 1/e-crossing initial guess, widened to hold the first 3 samples
     if the cap allows. Bounds: tau > 0, 0 <= c < 0.5.
     """
-    _check_windows(trajectory.times)  # the initial guess needs samples
-    tau0, c0, _ = _initial_guess(trajectory)
-    fit_window = _fit_window(trajectory.times, tau0, fit_window)
-    mask = _check_windows(trajectory.times, fit=fit_window)
+    tau, c, _, fit_window, mask = _fit_setup(trajectory, fit_window)
     t = trajectory.times[mask]
     y = trajectory.xi[mask]
 
-    tau, c = tau0, c0
     resid = y - decay_model(t, tau, c)
     ssr = float(resid @ resid)
-    lam = None
+    lam = 1e-3
     nu = 2.0
     converged = False
     iterations = 0
@@ -219,8 +213,6 @@ def fit_decay(
         # Marquardt scaling keeps the iteration covariant under exact
         # rescalings of the time axis (eta doubling <-> grid halving).
         scale = np.diag(np.diag(jtj))
-        if lam is None:
-            lam = 1e-3
         accepted = False
         for _ in range(50):
             try:
@@ -289,12 +281,8 @@ def _pass_one(times: np.ndarray, t1: float, t2: float) -> np.ndarray:
 def _fit_reads_evaluated(trajectory: Trajectory, fit_window) -> bool:
     """Whether fit_decay reads only evaluated (non-NaN) samples: those its
     search for tau0 reads, and those of its fit window."""
-    xi = trajectory.xi
-    tau0, _, read = _initial_guess(trajectory)
-    if np.isnan(xi[:read]).any():  # the crossing may lie in a skipped sample
-        return False
-    mask = _check_windows(trajectory.times, fit=_fit_window(trajectory.times, tau0, fit_window))
-    return not np.isnan(xi[mask]).any()
+    _, _, read, _, mask = _fit_setup(trajectory, fit_window)
+    return not (np.isnan(trajectory.xi[:read]).any() or np.isnan(trajectory.xi[mask]).any())
 
 
 def _single_run(

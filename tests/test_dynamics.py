@@ -382,8 +382,8 @@ def kernel_geometry(times, n):
 
 
 SCATTERED = np.random.default_rng(8).random(7) * 100
-# The longest uniform grid that takes the time builder (K = 1), and the
-# shortest that takes the rank-2 product.
+# The longest uniform grid in blocks of one time (K = 1), and the shortest
+# whose tables take the rank-2 product.
 ONE_BLOCK = 2.5 * np.arange(dynamics._ONE_BLOCK)
 PAST_ONE_BLOCK = 2.5 * np.arange(dynamics._ONE_BLOCK + 1)
 
@@ -685,8 +685,8 @@ def permuted(system, perm):
 @st.composite
 def systems_and_times(draw):
     """A system of up to 300 particles, so several strips and a ragged last
-    chunk, on a uniform grid (short ones take the time builder, longer ones
-    the rank-2 product) or at scattered times (the time builder)."""
+    chunk, on a uniform grid (short ones in blocks of one time, longer ones
+    through the rank-2 product) or at scattered times (K = 1)."""
     n = draw(st.integers(1, 300))
     mode = draw(st.sampled_from(["equal-superposition", "random-complex"]))
     system = random_system(n, seed=draw(st.integers(0, 2**32 - 1)), amplitude_mode=mode)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spindecoh import oracle
+from spindecoh import dynamics, oracle
 from spindecoh.dynamics import coherence_magnitudes, particle_entropies
 from spindecoh.model import SystemConfig, build_system
 from spindecoh.oracle import (
@@ -230,7 +230,33 @@ class TestMutualInformation:
             compare(bad, [1.0])
 
 
+# Grids for small kernel budgets: uniform ones in blocks of K = 8 (several
+# runs) and of one time, and scattered times. At the default budget the
+# kernel takes any N <= 14 as one strip that is all corner.
+SMALL_BUDGET_GRIDS = {
+    "uniform-k8": (3.3 + 0.7 * np.arange(61), 8),
+    "uniform-k1": (3.3 + 0.7 * np.arange(25), 1),
+    "scattered": (np.random.default_rng(15).random(30) * 100.0, 1),
+}
+
+
 class TestCompare:
+    @pytest.mark.parametrize("elements", [256, 64])
+    @pytest.mark.parametrize("grid", SMALL_BUDGET_GRIDS)
+    @pytest.mark.parametrize("amplitude_mode", ["equal-superposition", "random-complex"])
+    def test_small_budgets(self, monkeypatch, amplitude_mode, grid, elements):
+        # Strips with column sums; _finish takes several blocks, all but
+        # the 25 samples at N = 10 and 256 elements.
+        times, k = SMALL_BUDGET_GRIDS[grid]
+        step, got_k = dynamics._split_grid(times)
+        assert got_k == k and (step is None) == (grid == "scattered")
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", elements)
+        for n in (10, 12, 14):
+            assert dynamics._kernel_geometry(n, -(-times.size // k), k)[0] < n
+            s = random_system(n, seed=50 + n, amplitude_mode=amplitude_mode)
+            max_dz, max_ds, _ = compare(s, times)
+            assert max(max_dz.max(), max_ds.max()) < 1e-10
+
     @pytest.mark.parametrize("amplitude_mode", ["equal-superposition", "random-complex"])
     @pytest.mark.parametrize("coupling_mode", ["potential", "uniform-random"])
     def test_matches_per_time_loop(self, amplitude_mode, coupling_mode):
