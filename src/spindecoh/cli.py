@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -68,7 +67,8 @@ def write_csv(path: Path, meta: dict, columns: list[str], rows) -> None:
 
     rows: an iterable of rows, or a 2-D float64 array. Floats are written as
     `repr` writes them, every other field (ints, bools, None, strings) as
-    `str` does."""
+    `str` does. Only a 2-D float64 array goes through the vectorised
+    formatter; other rows are written field by field."""
     path.parent.mkdir(parents=True, exist_ok=True)
     header = "".join(f"# {key}: {value}\n" for key, value in meta.items())
     with open(path, "wb") as fh:
@@ -81,12 +81,8 @@ def _csv_body(rows) -> bytes:
         seps = np.full(rows.shape, ord(","), np.uint8)
         seps[:, -1] = ord("\n")
         return _repr_bytes(rows, seps)
-    rows = [list(row) for row in rows]
-    floats = [v for row in rows for v in row if isinstance(v, float)]
-    texts = iter(_repr_bytes(np.array(floats, np.float64),
-                             np.full(len(floats), ord("\n"), np.uint8)).decode().split("\n"))
-    return "".join(",".join(next(texts) if isinstance(v, float) else str(v) for v in row) + "\n"
-                   for row in rows).encode()
+    return "".join(",".join(float.__repr__(v) if isinstance(v, float) else str(v) for v in row)
+                   + "\n" for row in rows).encode()
 
 
 def _meta(cfg: RunConfig, **extra) -> dict:
@@ -111,8 +107,7 @@ _FLAGS = {
     "--u": dict(type=int, help="ensemble size override"),
     "--tmax": dict(type=float, help="trajectory span override"),
     "--dt": dict(type=float, help="time step override"),
-    "--threads": dict(
-        type=int, help="worker threads for ensembles (default $SPINDECOH_THREADS or 1)"),
+    "--threads": dict(type=int, default=1, help="worker threads for ensembles"),
     "--with-z": dict(action="store_true", help="include per-particle |z_l| columns"),
     "--with-entropy": dict(action="store_true",
                            help="include the total subsystem entropy column"),
@@ -131,19 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in _COMMON_FLAGS + flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-def _threads(args) -> int:
-    """--threads, else $SPINDECOH_THREADS, else 1; a positive integer."""
-    raw = os.environ.get("SPINDECOH_THREADS", "1") if args.threads is None else args.threads
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigValidationError(
-            f"SPINDECOH_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigValidationError(f"threads must be >= 1, got {threads}")
-    return threads
 
 
 _RUN_FIELDS = {field.name for field in dataclasses.fields(RunConfig)}
@@ -188,7 +170,7 @@ _STATS_COLUMNS = ["n", "d", "rho", "eta", "epsilon", "u",
 def cmd_ensemble(cfg: RunConfig, args) -> int:
     stats = run_ensemble(
         cfg.system_config(), cfg.u, cfg.seed, dt=cfg.dt, t_max=cfg.tmax,
-        t1=cfg.t1, t2=cfg.t2, fit_window=cfg.fit_window, threads=_threads(args),
+        t1=cfg.t1, t2=cfg.t2, fit_window=cfg.fit_window, threads=args.threads,
     )
     out = Path(cfg.out)
     write_csv(
@@ -214,7 +196,7 @@ def _run_sweep(cfg: RunConfig, cells, threads: int):
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     cells = sweep_cells(cfg.system_config(), cfg.n_list, cfg.rho_list, cfg.d_list)
-    results = _run_sweep(cfg, cells, _threads(args))
+    results = _run_sweep(cfg, cells, args.threads)
     write_csv(Path(cfg.out) / "sweep.csv", _meta(cfg), _STATS_COLUMNS,
               (_stats_row(s) for s in results))
     return EXIT_OK
@@ -225,7 +207,7 @@ def cmd_fit_scaling(cfg: RunConfig, args) -> int:
     # A bad u, dt or tmax is named before a short grid.
     _check_plan([base], cfg.u, cfg.dt, cfg.tmax, cfg.t1, cfg.t2, cfg.fit_window)
     cells = scaling_cells(base, cfg.n_list, cfg.rho_list)
-    results = _run_sweep(cfg, cells, _threads(args))
+    results = _run_sweep(cfg, cells, args.threads)
     fit = fit_decoherence_law(results, cfg.n, cfg.rho)
     out = Path(cfg.out)
     write_csv(out / "scaling_sweep.csv", _meta(cfg), _STATS_COLUMNS,

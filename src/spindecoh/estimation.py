@@ -221,7 +221,9 @@ def fit_decay(
                 # Singular for every lam: the tau column of the Jacobian is
                 # zero once exp(-t / tau) underflows at its floor.
                 break
-            tau_new = max(tau + step[0], 1e-12)
+            if not np.isfinite(step).all():
+                break  # lam or the system overflowed: no larger lam helps
+            tau_new = float(max(tau + step[0], 1e-12))
             c_new = float(np.clip(c + step[1], 0.0, 0.5 - 1e-12))
             resid_new = y - decay_model(t, tau_new, c_new)
             ssr_new = float(resid_new @ resid_new)
@@ -326,10 +328,12 @@ def run_ensemble(
     """Simulate U independent systems for one parameter cell and aggregate.
 
     Member seeds derive from (master_seed, run index), so the result is
-    deterministic and independent of the thread count. u, the time grid
-    and the windows are checked before any member runs.
+    deterministic and independent of the thread count. u, the time grid,
+    the windows and threads >= 1 are checked before any member runs.
     """
     _check_plan([cell], u, dt, t_max, t1, t2, fit_window)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     with ThreadPoolExecutor(max_workers=threads) as pool:
         runs = list(pool.map(
             lambda i: _single_run(cell, i, master_seed, dt, t_max, t1, t2, fit_window),

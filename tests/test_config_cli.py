@@ -384,11 +384,6 @@ class TestCliInputErrors:
         assert err.startswith("error:") and "\n" not in err, err
         return err
 
-    def test_threads_env_not_integer(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SPINDECOH_THREADS", "abc")
-        err = self.assert_one_line_error(capsys, ["ensemble", "--out", str(tmp_path)])
-        assert "SPINDECOH_THREADS" in err
-
     def test_negative_threads(self, tmp_path, capsys):
         err = self.assert_one_line_error(
             capsys, ["ensemble", "--threads", "-3", "--out", str(tmp_path)])
@@ -494,8 +489,9 @@ class TestPlanCheckedBeforeBuild:
          "coupling eta / r^epsilon is not finite"),
         # The N = 200 cell is fine; N = 2 has no coupling gaps.
         (["recurrence"], "n_list = 200, 2\nu = 5\n", "need N >= 3 for coupling gaps"),
+        (["sweep", "--threads", "0"], "n_list = 4, 6\nu = 2\n", "threads must be >= 1, got 0"),
     ], ids=["simulate", "oracle-check", "sweep", "fit-scaling", "sweep-box", "recurrence-box",
-            "sweep-couplings", "recurrence-small-n"])
+            "sweep-couplings", "recurrence-small-n", "sweep-threads"])
     def test_whole_plan_checked_first(self, tmp_path, capsys, builds, argv, lines, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(lines)
@@ -601,14 +597,20 @@ class TestOptionTable:
                   for name, p in subparsers.items()}
         assert documented == actual
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--n", "4", "--tmax", "1"],
-        ["recurrence", "--n", "8", "--u", "2"],
-        ["oracle-check", "--n", "4", "--times", "2"],
-    ])
-    def test_threads_env_ignored_without_threads(self, tmp_path, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, lines", [
+        (["simulate", "--n", "4", "--tmax", "1"], ""),
+        (["recurrence", "--n", "8", "--u", "2"], ""),
+        (["oracle-check", "--n", "4", "--times", "2"], ""),
+        (["ensemble", "--n", "4", "--u", "2"], ""),
+        (["sweep"], "n_list = 4, 5\nu = 2\n"),
+        (["fit-scaling"], "n = 4\nn_list = 4, 5, 6\nrho_list = 0.5, 1, 2\nu = 2\n"),
+    ], ids=["simulate", "recurrence", "oracle-check", "ensemble", "sweep", "fit-scaling"])
+    def test_threads_env_ignored(self, tmp_path, capsys, monkeypatch, argv, lines):
+        # --threads is the only source of the thread count.
         monkeypatch.setenv("SPINDECOH_THREADS", "abc")
-        assert main(argv + ["--out", str(tmp_path)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("workload", sorted(PERFBENCH_WORKLOADS))
     def test_benchmark_inputs_accepted(self, tmp_path, workload):

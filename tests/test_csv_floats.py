@@ -123,3 +123,41 @@ def test_import_builds_no_tables():
             "assert f._tables.cache_info().currsize == 0")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def small_tables_then_simulate(out: Path):
+    """Run in a fresh process: the small tables are written field by field,
+    as the reference writer writes them, without building the formatter's
+    tables; simulate's 2-D float table then builds them."""
+    from spindecoh import _floatrepr
+
+    tables = []
+    write_csv = cli.write_csv
+
+    def spy(path, meta, columns, rows):
+        rows = [list(row) for row in rows]
+        tables.append((path, meta, columns, rows))
+        write_csv(path, meta, columns, rows)
+
+    cli.write_csv = spy
+    for argv in (["oracle-check", "--n", "4", "--times", "3"],
+                 ["recurrence", "--n", "8", "--u", "2"],
+                 ["ensemble", "--n", "4", "--u", "2"]):
+        assert cli.main([*argv, "--out", str(out)]) == 0, argv
+    assert len(tables) == 4
+    for path, meta, columns, rows in tables:
+        assert path.read_bytes() == reference_csv(meta, columns, rows), path
+    assert _floatrepr._tables.cache_info().currsize == 0
+    cli.write_csv = write_csv
+    assert cli.main(["simulate", "--n", "4", "--tmax", "1", "--out", str(out)]) == 0
+    assert _floatrepr._tables.cache_info().currsize == 1
+
+
+def test_small_tables_build_no_tables(tmp_path):
+    tests = Path(__file__).resolve().parent
+    code = ("from pathlib import Path; import test_csv_floats as t; "
+            f"t.small_tables_then_simulate(Path({str(tmp_path)!r}))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                [str(tests.parent / "src"), str(tests)])})
+    assert result.returncode == 0, result.stderr

@@ -117,6 +117,18 @@ class TestFitDecay:
             fit = fit_decay(sample_trajectory(system, dt=7.0, t_max=98.0))
         assert fit.tau == 1e-12 and not fit.converged
 
+    def test_overflowing_damping_stops_without_warnings(self):
+        # On these 6 window samples every step after the second is rejected,
+        # until lam overflows and the step is no longer finite.
+        system = build_system(SystemConfig(n_particles=5, dimension=3, density=5.0,
+                                           rng_seed=32))
+        traj = sample_trajectory(system, dt=1.0, t_max=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_decay(traj, fit_window=(0.0, 5.0))
+        assert type(fit.tau) is float and np.isfinite([fit.tau, fit.c, fit.ssr]).all()
+        assert not fit.converged and fit.n_iterations == 2
+
     def test_bounds_respected(self):
         fit = fit_decay(synthetic_trajectory(0.5, 0.45))
         assert fit.tau > 0.0
@@ -220,6 +232,13 @@ class TestRunEnsemble:
     def test_rejects_bad_u(self):
         with pytest.raises(ValueError):
             run_ensemble(self.CELL, 0, master_seed=1)
+
+    def test_rejects_bad_threads_before_members_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimation, "_single_run", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+            run_ensemble(self.CELL, 2, master_seed=1, threads=0)
+        assert calls == []
 
     def test_auto_window_takes_three_samples(self):
         # No 1/e crossing gives tau0 = 1, and [0, 20 tau0] holds the samples
