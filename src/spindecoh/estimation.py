@@ -215,26 +215,30 @@ def fit_decay(
         scale = np.diag(np.diag(jtj))
         accepted = False
         for _ in range(50):
+            with np.errstate(over="ignore", invalid="ignore"):
+                damped = jtj + lam * scale
+            if not np.isfinite(damped).all():
+                break  # lam * scale overflowed, as it does for every larger lam
             try:
-                step = np.linalg.solve(jtj + lam * scale, jtr)
+                step = np.linalg.solve(damped, jtr)
             except np.linalg.LinAlgError:
                 # Singular for every lam: the tau column of the Jacobian is
                 # zero once exp(-t / tau) underflows at its floor.
                 break
-            if not np.isfinite(step).all():
-                break  # lam or the system overflowed: no larger lam helps
-            tau_new = float(max(tau + step[0], 1e-12))
-            c_new = float(np.clip(c + step[1], 0.0, 0.5 - 1e-12))
-            resid_new = y - decay_model(t, tau_new, c_new)
-            ssr_new = float(resid_new @ resid_new)
-            predicted = float(step @ (lam * (scale @ step) + jtr))
-            gain = (ssr - ssr_new) / predicted if predicted > 0 else -1.0
-            if ssr_new <= ssr:
-                # Nielsen's damping update: shrink lam on good gain ratios.
-                lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-                nu = 2.0
-                accepted = True
-                break
+            # A step that is not finite is rejected like one that raises ssr.
+            if np.isfinite(step).all():
+                tau_new = float(max(tau + step[0], 1e-12))
+                c_new = float(np.clip(c + step[1], 0.0, 0.5 - 1e-12))
+                resid_new = y - decay_model(t, tau_new, c_new)
+                ssr_new = float(resid_new @ resid_new)
+                predicted = float(step @ (lam * (scale @ step) + jtr))
+                gain = (ssr - ssr_new) / predicted if predicted > 0 else -1.0
+                if ssr_new <= ssr:
+                    # Nielsen's damping update: shrink lam on good gain ratios.
+                    lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                    nu = 2.0
+                    accepted = True
+                    break
             lam *= nu
             nu *= 2.0
         if not accepted:

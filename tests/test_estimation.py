@@ -118,8 +118,9 @@ class TestFitDecay:
         assert fit.tau == 1e-12 and not fit.converged
 
     def test_overflowing_damping_stops_without_warnings(self):
-        # On these 6 window samples every step after the second is rejected,
-        # until lam overflows and the step is no longer finite.
+        # On these 6 window samples the tau column has underflowed and every
+        # step after the second is rejected (from the 21st solve on, the step
+        # is not finite) until lam * scale overflows.
         system = build_system(SystemConfig(n_particles=5, dimension=3, density=5.0,
                                            rng_seed=32))
         traj = sample_trajectory(system, dt=1.0, t_max=100.0)

@@ -3,13 +3,13 @@
 A change that must keep every output byte-identical is checked by diffing
 the listings of two checkouts.
 
-    python tools/output_hashes.py SRC [--seeds 32] [--workloads NAME ...]
+    python tools/output_hashes.py SRC
 
 Imports `spindecoh` from SRC (a checkout's `src` directory) and runs each
 workload's `prepare` argument lists through `spindecoh.cli.main` in this
-process, for benchmark seeds 0 .. seeds - 1 (program seeds 1000-1031 by
-default). Prints one `workload program-seed sha256` line per call, hashed
-over the exit codes, the standard output and every output file:
+process, for every program seed of the workloads' pool (1000-1031). Prints
+one `workload program-seed sha256` line per call, hashed over the exit
+codes, the standard output and every output file:
 
     python tools/output_hashes.py ../parent/src > parent.txt
     python tools/output_hashes.py src > change.txt
@@ -60,8 +60,6 @@ def call_hash(main, workload, seed: int, call_dir: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="directory that holds the spindecoh package")
-    parser.add_argument("--seeds", type=int, default=32, help="benchmark seeds 0 .. SEEDS - 1")
-    parser.add_argument("--workloads", nargs="+", help="workload names (default: all)")
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -71,10 +69,8 @@ def main(argv=None) -> int:
         parser.error(f"spindecoh was imported from {cli.__file__}, not from {src}")
 
     workloads = load_workloads()
-    names = args.workloads or list(workloads.WORKLOADS)
-    for name in names:
-        workload = workloads.WORKLOADS[name]
-        for seed in range(args.seeds):
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in range(workloads.POOL):
             with tempfile.TemporaryDirectory() as tmp:
                 digest = call_hash(cli.main, workload, seed, Path(tmp))
             print(name, workloads.program_seed(seed), digest, flush=True)
