@@ -1,13 +1,17 @@
 """Run configuration: line-oriented `key = value` files.
 
-`#` starts a comment, lists are comma-separated, unknown keys are
-rejected. render_config() emits a canonical form such that
-parse_config(render_config(cfg)) == cfg.
+`#` starts a comment and unknown keys are rejected. Each key is a
+RunConfig field, read and written by one (parse, render) pair per field
+type (`_FORMATS`): integers by `int(raw, 0)` and written as digits,
+floats by `float` and written as `repr(float(v))`, lists comma-separated
+(no entries is empty), `fit_window` as `auto` or `lo, hi`. render_config()
+emits a canonical form such that parse_config(render_config(cfg)) == cfg.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, fields, replace
 
 from .model import SystemConfig
@@ -66,45 +70,40 @@ class RunConfig:
         )
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 0)
+def _list(parse, render):
+    """(parse, render) of a comma-separated list; no entries is empty."""
+    return (lambda raw: tuple(parse(p.strip()) for p in raw.split(",")) if raw else (),
+            lambda value: ", ".join(render(v) for v in value))
+
+
+# An int field renders through operator.index, so a numpy integer writes as
+# its digits and a float, which no build accepts there, raises TypeError.
+_INT = (lambda raw: int(raw, 0), lambda value: str(operator.index(value)))
+_FLOAT = (float, lambda value: repr(float(value)))
+_FLOATS = _list(*_FLOAT)
 
 
 def _parse_fit_window(raw: str):
     if raw == "auto":
         return None
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
+    window = _FLOATS[0](raw)
+    if len(window) != 2:
         raise ValueError("fit_window must be 'auto' or 'lo, hi'")
-    return (float(parts[0]), float(parts[1]))
+    return window
 
 
-def _parse_list(raw: str, item):
-    if raw == "":
-        return ()
-    return tuple(item(p.strip()) for p in raw.split(","))
-
-
-_PARSERS = {
-    "n": _parse_int,
-    "d": _parse_int,
-    "rho": float,
-    "eta": float,
-    "epsilon": float,
-    "amplitude_mode": str,
-    "coupling_mode": str,
-    "seed": _parse_int,
-    "dt": float,
-    "tmax": float,
-    "t1": float,
-    "t2": float,
-    "u": _parse_int,
-    "fit_window": _parse_fit_window,
-    "out": str,
-    "n_list": lambda raw: _parse_list(raw, _parse_int),
-    "rho_list": lambda raw: _parse_list(raw, float),
-    "d_list": lambda raw: _parse_list(raw, _parse_int),
+# (parse, render) per RunConfig field type, keyed by the annotation's text,
+# so every RunConfig field is a key and parse and render agree.
+_FORMATS = {
+    "int": _INT,
+    "float": _FLOAT,
+    "str": (str, str),
+    "tuple[int, ...]": _list(*_INT),
+    "tuple[float, ...]": _FLOATS,
+    "tuple[float, float] | None": (
+        _parse_fit_window, lambda value: "auto" if value is None else _FLOATS[1](value)),
 }
+_FIELDS = {field.name: _FORMATS[field.type] for field in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -120,33 +119,27 @@ def parse_config(text: str) -> RunConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _PARSERS:
+        if key not in _FIELDS:
             raise ConfigParseError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigParseError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _PARSERS[key](raw)
+            values[key] = _FIELDS[key][0](raw)
         except ValueError as exc:
             raise ConfigParseError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return RunConfig(**values)
 
 
 def render_config(cfg: RunConfig) -> str:
-    """Canonical text form; inverse of parse_config for valid configs."""
+    """Canonical text form; inverse of parse_config for valid configs.
+    Each value is written by its field's type, so equal configs render
+    alike whether a value is an int, a float or a numpy scalar."""
     lines = []
-    for field in fields(RunConfig):
-        value = getattr(cfg, field.name)
-        if field.name == "fit_window":
-            rendered = "auto" if value is None else f"{value[0]!r}, {value[1]!r}"
-        elif field.name in ("n_list", "rho_list", "d_list"):
-            if not value:
-                continue
-            rendered = ", ".join(repr(v) for v in value)
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{field.name} = {rendered}")
+    for name, (_, render) in _FIELDS.items():
+        value = getattr(cfg, name)
+        if isinstance(value, tuple) and not value:
+            continue  # an empty list is the default
+        lines.append(f"{name} = {render(value)}")
     return "\n".join(lines) + "\n"
 
 

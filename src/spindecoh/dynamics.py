@@ -86,7 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SpinSystem, _positive_finite
+from .model import _BLOCK_ELEMENTS, SpinSystem, _positive_finite
 
 # Radicand of the eigenvalue square root may leave [0, 1] by round-off; this
 # much is silently clamped, anything worse is a hard error.
@@ -94,10 +94,6 @@ EIGENVALUE_CLAMP = 1e-12
 
 # Upper bound on samples * N for trajectory sampling.
 MAX_TRAJECTORY_ELEMENTS = 50_000_000
-
-# Elements in one kernel temporary (time blocks x offsets x rows x N);
-# 64K float64 values keep a block's working set inside L2.
-_BLOCK_ELEMENTS = 65_536
 
 # Uniform grids of at most this many samples take blocks of one time (K = 1),
 # whose cos^2 tables square the block starts' table: below it the rank-2

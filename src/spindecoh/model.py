@@ -28,9 +28,11 @@ MIN_SEPARATION_FACTOR = 1e-9
 # every pair as 0 apart.
 MIN_BOX_SIDE = np.sqrt(np.finfo(float).tiny) / MIN_SEPARATION_FACTOR
 MAX_PLACEMENT_ATTEMPTS = 1000
-# Rows of the distance matrix built at once; a block's temporaries take
-# _DISTANCE_ROWS * N floats.
-_DISTANCE_ROWS = 64
+# Elements in one working-set block of every blocked loop: distance rows
+# in placement, sorted coupling rows in recurrence_time, and the coherence
+# kernel's temporaries (time blocks x offsets x rows x N). 64K float64
+# values keep a block's working set inside L2.
+_BLOCK_ELEMENTS = 65_536
 
 
 class PlacementError(RuntimeError):
@@ -148,16 +150,18 @@ def _distances(points: np.ndarray, min_sep: float,
     """Fill r with the (m, m) distance matrix of `points` and return the
     close pairs (i, j), i < j, that lie under min_sep apart.
 
-    Each block of rows takes its upper-triangle columns from a contiguous
-    difference per dimension, squared and summed in dimension order (so every
-    r_ij matches `scipy.spatial.distance.pdist`), and copies their transpose
-    into the lower triangle."""
+    Each block of _BLOCK_ELEMENTS // m rows (at least one) takes its
+    upper-triangle columns from a contiguous difference per dimension,
+    squared and summed in dimension order (so every r_ij matches
+    `scipy.spatial.distance.pdist`), and copies their transpose into the
+    lower triangle."""
     m = len(points)
+    height = max(1, _BLOCK_ELEMENTS // m)
     coords = np.ascontiguousarray(points.T)
-    buf = np.empty(min(m, _DISTANCE_ROWS) * m)
+    buf = np.empty(min(m, height) * m)
     close_i, close_j = [], []
-    for r0 in range(0, m, _DISTANCE_ROWS):
-        r1 = min(r0 + _DISTANCE_ROWS, m)
+    for r0 in range(0, m, height):
+        r1 = min(r0 + height, m)
         block = r[r0:r1, r0:]
         diff = buf[:block.size].reshape(block.shape)
         for k, x in enumerate(coords):

@@ -14,12 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SpinSystem, SystemConfig, build_system, derive_seed
+from .model import _BLOCK_ELEMENTS, SpinSystem, SystemConfig, build_system, derive_seed
 
 DEGENERATE_SENTINEL = float("inf")
-
-# Coupling rows sorted at once for their smallest gaps.
-_GAP_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -69,11 +66,12 @@ def recurrence_time(system: SpinSystem) -> RecurrenceEstimate:
     _check_n(n)
     # Couplings are >= 0 and the diagonal is 0, so each sorted row starts
     # with its diagonal zero; the gaps are taken between the rest. Blocks of
-    # rows keep the sorted copy and its differences small.
+    # _BLOCK_ELEMENTS / N rows keep the sorted copy and its differences small.
     freqs = np.empty(n)
-    for r0 in range(0, n, _GAP_ROWS):
-        off = np.sort(g[r0:r0 + _GAP_ROWS], axis=1)[:, 1:]
-        np.diff(off, axis=1).min(axis=1, out=freqs[r0:r0 + _GAP_ROWS])
+    height = max(1, _BLOCK_ELEMENTS // n)
+    for r0 in range(0, n, height):
+        off = np.sort(g[r0:r0 + height], axis=1)[:, 1:]
+        np.diff(off, axis=1).min(axis=1, out=freqs[r0:r0 + height])
     freqs *= 2.0
     min_gap = float(np.diff(np.sort(freqs)).min())
     degenerate = bool(min_gap == 0.0 or np.any(freqs == 0.0))

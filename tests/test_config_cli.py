@@ -60,13 +60,17 @@ class TestParseConfig:
         assert cfg.n == 9
 
     def test_lists(self):
-        cfg = parse_config("n_list = 10, 20, 50\nrho_list = 0.5, 1, 2\n")
+        cfg = parse_config("n_list = 10, 0x14, 50\nrho_list = 0.5, 1, 2\nd_list =\n")
         assert cfg.n_list == (10, 20, 50)
         assert cfg.rho_list == (0.5, 1.0, 2.0)
+        assert cfg.d_list == ()
 
     def test_fit_window(self):
         assert parse_config("fit_window = auto\n").fit_window is None
         assert parse_config("fit_window = 0, 25\n").fit_window == (0.0, 25.0)
+        for raw in ("", "1", "1, 2, 3"):
+            with pytest.raises(ConfigParseError, match="'auto' or 'lo, hi'"):
+                parse_config(f"fit_window = {raw}\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigParseError, match="line 2"):
@@ -77,8 +81,10 @@ class TestParseConfig:
             parse_config("n = 4\nn = 5\n")
 
     def test_bad_value_reports_line(self):
-        with pytest.raises(ConfigParseError, match="line 1"):
-            parse_config("n = many\n")
+        assert parse_config("n = 0x1F\n").n == 31  # integers read as int(raw, 0)
+        for text in ("n = many\n", "n = 007\n", "n_list = 1, x\n"):
+            with pytest.raises(ConfigParseError, match="line 1"):
+                parse_config(text)
 
     def test_window_order_validated(self, tmp_path, capsys):
         # Only commands that time-average read t1 and t2, so only they
@@ -157,15 +163,46 @@ class TestParseConfig:
             t1=40.0, t2=80.0, u=7, fit_window=(0.0, 12.5), out="results",
             n_list=(4, 8), rho_list=(0.5, 2.0), d_list=(1, 3),
         )
-        assert parse_config(render_config(cfg)) == cfg
+        text = render_config(cfg)
+        assert parse_config(text) == cfg
+        # Every CSV header carries config_hash, so the canonical text and
+        # its digest are pinned.
+        assert text == (
+            "n = 12\nd = 2\nrho = 0.7\neta = 3.5\nepsilon = 1.0\n"
+            "amplitude_mode = equal-superposition\ncoupling_mode = potential\n"
+            "seed = 987\ndt = 0.02\ntmax = 80.0\nt1 = 40.0\nt2 = 80.0\nu = 7\n"
+            "fit_window = 0.0, 12.5\nout = results\nn_list = 4, 8\n"
+            "rho_list = 0.5, 2.0\nd_list = 1, 3\n"
+        )
+        assert config_hash(cfg) == "f00d0cad5737b27e"
 
     def test_round_trip_defaults(self):
         cfg = RunConfig()
         assert parse_config(render_config(cfg)) == cfg
 
     def test_hash_stable(self):
-        assert config_hash(RunConfig()) == config_hash(RunConfig())
+        assert config_hash(RunConfig()) == "6e559a6d4e909577"
         assert config_hash(RunConfig()) != config_hash(RunConfig(n=3))
+
+    def test_values_render_by_field_type(self):
+        # Equal configs hash alike whether a value is an int, a float or a
+        # numpy scalar, and a numpy value renders as text parse_config reads.
+        ints = RunConfig(rho=2, tmax=50, fit_window=(0, 5), rho_list=(1, 2))
+        floats = RunConfig(rho=2.0, tmax=50.0, fit_window=(0.0, 5.0), rho_list=(1.0, 2.0))
+        assert ints == floats
+        assert config_hash(ints) == config_hash(floats) == "efdc8d4126810c92"
+        numpy = RunConfig(n=np.int64(12), rho=np.float64(2.0), fit_window=(np.float64(0.0), 5.0),
+                          n_list=(np.int64(4),), rho_list=(np.float64(1.0),))
+        text = render_config(numpy)
+        assert "rho = 2.0\n" in text and "fit_window = 0.0, 5.0\n" in text
+        assert "n_list = 4\n" in text and "rho_list = 1.0\n" in text
+        assert parse_config(text) == numpy
+        assert config_hash(numpy) == config_hash(
+            RunConfig(n=12, rho=2.0, fit_window=(0.0, 5.0), n_list=(4,), rho_list=(1.0,)))
+        # A float in an int field, which no build accepts, does not render
+        # as an integer it is not.
+        with pytest.raises(TypeError):
+            render_config(RunConfig(n=2.5))
 
 
 def read_output(path):

@@ -150,10 +150,13 @@ class TestCouplings:
         assert g[1, 2] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_broadcast_formula(self, d):
-        # Placement builds its distances 64 rows at a time: N = 200 and 1000
-        # take several blocks and a partial last one.
-        for n in (60, 200, 1000):
+    def test_matches_broadcast_formula(self, monkeypatch, d):
+        # Placement builds _BLOCK_ELEMENTS // N distance rows at a time. At
+        # the shared budget N = 1000 takes 15 blocks of 65 rows and one of
+        # 25; a budget of 3000 elements splits N = 60 into 50 + 10 rows and
+        # N = 200 into 13 blocks of 15 rows and one of 5.
+        for n, elements in ((60, 3000), (200, 3000), (1000, model._BLOCK_ELEMENTS)):
+            monkeypatch.setattr(model, "_BLOCK_ELEMENTS", elements)
             pos, r = place_particles(SystemConfig(n_particles=n, dimension=d, rng_seed=d),
                                      make_rng(d))
             for epsilon in (1.0, 2.5):

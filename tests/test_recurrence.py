@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spindecoh import recurrence
 from spindecoh.model import SystemConfig, build_system
 from spindecoh.recurrence import recurrence_stats, recurrence_time
 
@@ -51,13 +52,20 @@ class TestParticleFrequency:
             assert freqs[l] == 2.0 * np.diff(np.sort(row)).min()
 
     @pytest.mark.parametrize("n", [33, 1000])
-    def test_row_blocks_match_one_sort(self, n):
-        # Blocks of 32 rows leave a ragged last block at both sizes; each
-        # row's sort, differences and minimum are the same as in one sort
-        # of the whole matrix.
+    def test_row_blocks_match_one_sort(self, monkeypatch, n):
+        # recurrence_time sorts _BLOCK_ELEMENTS // N rows at a time. N = 1000
+        # takes 15 blocks of 65 rows and one of 25 at the shared budget, and
+        # N = 33 takes 3 blocks of 9 rows and one of 6 at a budget of 300.
+        # Each row's sort, differences and minimum are the same as in one
+        # sort of the whole matrix.
+        if n == 33:
+            monkeypatch.setattr(recurrence, "_BLOCK_ELEMENTS", 300)
         s = build_system(SystemConfig(n_particles=n, rng_seed=n))
+        # Blocked first, so its result buffer cannot reuse the reference's
+        # freed temporaries.
+        freqs = recurrence_time(s).frequencies
         whole = 2.0 * np.diff(np.sort(s.couplings, axis=1)[:, 1:], axis=1).min(axis=1)
-        assert np.array_equal(recurrence_time(s).frequencies, whole)
+        assert np.array_equal(freqs, whole)
 
     def test_needs_three_particles(self):
         s = build_system(SystemConfig(n_particles=2, rng_seed=1))
