@@ -5,14 +5,17 @@ uniformly at random in a D-dimensional box, a symmetric coupling matrix
 derived from an eta / r**epsilon potential (or drawn uniformly at random),
 and per-particle superposition amplitudes (a_k, b_k).
 
-Pairwise data lives in one square (N, N) float array per system:
-`place_particles` builds the distances in blocks of rows and tests
-separations on them, and both coupling modes overwrite that array with the
-couplings, so a system holds 8 N^2 bytes of pairwise data.
+Placement computes no pairwise matrix: a sweep over the sorted first
+coordinate finds the few pairs that can lie under the minimum separation,
+and only those get an exact distance. Couplings are built a block of full
+rows at a time from the positions (`_coupling_rows`); a system holds them
+as its one square (N, N) float array, 8 N^2 bytes, and a recurrence draw
+holds only one block.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +31,8 @@ MIN_SEPARATION_FACTOR = 1e-9
 # every pair as 0 apart.
 MIN_BOX_SIDE = np.sqrt(np.finfo(float).tiny) / MIN_SEPARATION_FACTOR
 MAX_PLACEMENT_ATTEMPTS = 1000
-# Elements in one working-set block of every blocked loop: distance rows
-# in placement, sorted coupling rows in recurrence_time, and the coherence
+# Elements in one working-set block of every blocked loop: coupling rows
+# from positions, sorted coupling rows in recurrence, and the coherence
 # kernel's temporaries (time blocks x offsets x rows x N). 64K float64
 # values keep a block's working set inside L2.
 _BLOCK_ELEMENTS = 65_536
@@ -85,6 +88,12 @@ class SystemConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_particles", "dimension"):
+            try:  # ints and numpy integers; a float fails however integral
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}") from None
         for name in ("density", "eta", "epsilon"):
             _positive_finite(name, getattr(self, name))
         try:  # box_side checks n_particles and dimension
@@ -145,84 +154,118 @@ def box_side(n_particles: int, density: float, dimension: int) -> float:
     return (n_particles / density) ** (1.0 / dimension)
 
 
-def _distances(points: np.ndarray, min_sep: float,
-               r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fill r with the (m, m) distance matrix of `points` and return the
-    close pairs (i, j), i < j, that lie under min_sep apart.
+def _close_pairs(points: np.ndarray, min_sep: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, of `points` that lie under min_sep apart.
 
-    Each block of _BLOCK_ELEMENTS // m rows (at least one) takes its
-    upper-triangle columns from a contiguous difference per dimension,
-    squared and summed in dimension order (so every r_ij matches
-    `scipy.spatial.distance.pdist`), and copies their transpose into the
-    lower triangle."""
+    A pair is under min_sep apart only if its first coordinates are, so a
+    sweep over the sorted first coordinate lists the pairs whose first
+    coordinates lie within min_sep (1 + 4 eps), a margin that covers the
+    rounding of the distance below, and only those pairs get the exact
+    test. A distance is a difference per dimension, squared and summed in
+    dimension order, then sqrt (as `scipy.spatial.distance.pdist`)."""
     m = len(points)
-    height = max(1, _BLOCK_ELEMENTS // m)
-    coords = np.ascontiguousarray(points.T)
-    buf = np.empty(min(m, height) * m)
-    close_i, close_j = [], []
-    for r0 in range(0, m, height):
-        r1 = min(r0 + height, m)
-        block = r[r0:r1, r0:]
-        diff = buf[:block.size].reshape(block.shape)
-        for k, x in enumerate(coords):
-            np.subtract(x[r0:r1, None], x[None, r0:], out=diff)
-            if k == 0:
-                np.square(diff, out=block)
-            else:
-                block += np.square(diff, out=diff)
-        np.sqrt(block, out=block)
-        r[r1:, r0:r1] = block[:, r1 - r0:].T
-        rows, cols = np.divmod(np.flatnonzero(block < min_sep), block.shape[1])
-        upper = cols > rows
-        close_i.append(rows[upper] + r0)
-        close_j.append(cols[upper] + r0)
-    return np.concatenate(close_i), np.concatenate(close_j)
+    order = np.argsort(points[:, 0])
+    xs = points[order, 0]
+    reach = np.searchsorted(xs, xs + min_sep * (1 + 4 * np.finfo(float).eps), side="right")
+    counts = reach - np.arange(1, m + 1)
+    first = np.repeat(np.arange(m), counts)
+    # The partner of the k-th listed pair of point a is sorted point a + 1 + k.
+    later = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = order[first], order[later]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    diff = points[i] - points[j]
+    r = np.square(diff[:, 0])
+    for k in range(1, points.shape[1]):
+        r += np.square(diff[:, k])
+    close = np.sqrt(r) < min_sep
+    return i[close], j[close]
 
 
-def place_particles(config: SystemConfig,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def place_particles(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw N positions uniformly in the box, resampling any particle that
     lands closer than MIN_SEPARATION_FACTOR * l to an earlier one. Rounds
     draw one candidate per missing particle and keep them in draw order, so
-    positions and generator state match drawing one at a time.
-
-    Returns (positions, r): r is the square (N, N) distance matrix of the
-    positions, taken in the last round, which kept every point."""
+    positions and generator state match drawing one at a time."""
     n, d = config.n_particles, config.dimension
     side = box_side(n, config.density, d)
     min_sep = MIN_SEPARATION_FACTOR * side
     positions = np.empty((0, d))
-    r = np.empty((n, n))
     stalled = 0
     while len(positions) < n:
         points = np.vstack([positions, rng.random((n - len(positions), d)) * side])
-        i, j = _distances(points, min_sep, r)
+        i, j = _close_pairs(points, min_sep)
+        # Kept positions are mutually separated, so every j is a candidate. A
+        # candidate is settled once every earlier partner is: rejected if one
+        # of them is kept, else kept. Each pass settles at least the first
+        # open candidate.
         keep = np.ones(n, dtype=bool)
-        # Kept positions are mutually separated, so every j is a candidate.
-        for later in np.unique(j):
-            keep[later] = not keep[i[j == later]].any()
+        open_ = np.zeros(n, dtype=bool)
+        open_[j] = True
+        while open_.any():
+            live = open_[j]
+            earlier, later = i[live], j[live]
+            settled = ~open_[earlier]
+            rejected = np.zeros(n, dtype=bool)
+            rejected[later[settled & keep[earlier]]] = True
+            waiting = np.zeros(n, dtype=bool)
+            waiting[later[~settled]] = True
+            keep[rejected] = False
+            open_ &= waiting & ~rejected
         stalled = stalled + 1 if keep.sum() == len(positions) else 0
         if stalled == MAX_PLACEMENT_ATTEMPTS:
             raise PlacementError(f"no particle placed in {MAX_PLACEMENT_ATTEMPTS} rounds")
         positions = points[keep]
-    return positions, r
+    return positions
 
 
-def build_couplings(r: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
+def _coupling_rows(positions: np.ndarray, eta: float, epsilon: float):
+    """Yield the full coupling rows g_ij = eta / r_ij**epsilon in order,
+    _BLOCK_ELEMENTS // N rows (at least one) at a time, with a zero
+    diagonal; SingularCouplingError at the first coupling, in row order,
+    that is not finite.
+
+    r_ij is a difference per dimension, squared and summed in dimension
+    order, then sqrt, and (x_i - x_j)^2 = (x_j - x_i)^2, so g is exactly
+    symmetric. Every block is written into one buffer, which the caller may
+    overwrite but must not keep past the next block."""
+    n = len(positions)
+    height = max(1, _BLOCK_ELEMENTS // n)
+    coords = np.ascontiguousarray(positions.T)
+    buf = np.empty((2, min(n, height) * n))
+    for r0 in range(0, n, height):
+        r1 = min(r0 + height, n)
+        rows = buf[0, :(r1 - r0) * n].reshape(r1 - r0, n)
+        diff = buf[1, :rows.size].reshape(rows.shape)
+        for k, x in enumerate(coords):
+            np.subtract(x[r0:r1, None], x[None, :], out=diff)
+            if k == 0:
+                np.square(diff, out=rows)
+            else:
+                rows += np.square(diff, out=diff)
+        np.sqrt(rows, out=rows)
+        with np.errstate(divide="ignore", over="ignore"):
+            if epsilon != 1:  # x**1 == x, so the pass would change no bit
+                rows **= epsilon
+            np.divide(eta, rows, out=rows)
+        rows[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
+        if not np.all(np.isfinite(rows)):
+            i, j = divmod(int(np.argmin(np.isfinite(rows))), n)
+            raise SingularCouplingError(f"coupling eta / r^epsilon is not finite for "
+                                        f"particles {r0 + i} and {j}, epsilon = {epsilon}")
+        yield rows
+
+
+def build_couplings(positions: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
     """Coupling matrix g_ij = eta / r_ij**epsilon (symmetric, zero diagonal)
-    from the square distance matrix r, e.g. `place_particles`' second
-    result. r is overwritten with the couplings and returned;
-    SingularCouplingError unless every coupling is finite."""
-    with np.errstate(divide="ignore", over="ignore"):
-        if epsilon != 1:  # x**1 == x, so the pass would change no bit
-            r **= epsilon
-        np.divide(eta, r, out=r)
-    np.fill_diagonal(r, 0.0)
-    if not np.all(np.isfinite(r)):
-        i, j = divmod(int(np.argmin(np.isfinite(r))), len(r))
-        raise SingularCouplingError(f"coupling eta / r^epsilon is not finite for "
-                                    f"particles {i} and {j}, epsilon = {epsilon}")
-    return r
+    of the (N, D) positions; SingularCouplingError unless every coupling
+    is finite."""
+    n = len(positions)
+    g = np.empty((n, n))
+    r0 = 0
+    for rows in _coupling_rows(positions, eta, epsilon):
+        g[r0:r0 + len(rows)] = rows
+        r0 += len(rows)
+    return g
 
 
 def _draw_amplitudes(config: SystemConfig, rng: np.random.Generator):
@@ -243,15 +286,15 @@ def _draw_amplitudes(config: SystemConfig, rng: np.random.Generator):
 def build_system(config: SystemConfig) -> SpinSystem:
     """Assemble a SpinSystem from a config; deterministic given the seed."""
     rng = make_rng(config.rng_seed)
-    positions, r = place_particles(config, rng)
+    positions = place_particles(config, rng)
     if config.coupling_mode == "potential":
-        couplings = build_couplings(r, config.eta, config.epsilon)
+        couplings = build_couplings(positions, config.eta, config.epsilon)
     else:
         # The draw fills the upper triangle in row order and is mirrored
-        # below it; r's diagonal is already 0.
+        # below it.
         n = config.n_particles
         upper = np.arange(n)[:, None] < np.arange(n)
-        r[upper] = r.T[upper] = rng.random(n * (n - 1) // 2)
-        couplings = r
+        couplings = np.zeros((n, n))
+        couplings[upper] = couplings.T[upper] = rng.random(n * (n - 1) // 2)
     a, b = _draw_amplitudes(config, rng)
     return SpinSystem(positions=positions, amp_a=a, amp_b=b, couplings=couplings)

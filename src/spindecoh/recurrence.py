@@ -5,6 +5,12 @@ particle's couplings; the recurrence time of the whole signal is
 2*pi over the smallest gap between those frequencies. Because the
 resulting distribution is extremely heavy-tailed, ensemble summaries
 carry the median and the log10 mean alongside mean and std.
+
+One loop (`_estimate`) sorts the coupling rows a block at a time and takes
+their gaps. `recurrence_time` feeds it copies of a system's rows;
+`recurrence_stats` feeds potential-mode draws the rows built from the
+placed positions, so a draw holds its positions and one row block, never
+an N x N array.
 """
 
 from __future__ import annotations
@@ -14,7 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _BLOCK_ELEMENTS, SpinSystem, SystemConfig, build_system, derive_seed
+from .model import (
+    _BLOCK_ELEMENTS,
+    SpinSystem,
+    SystemConfig,
+    _coupling_rows,
+    build_system,
+    derive_seed,
+    make_rng,
+    place_particles,
+)
 
 DEGENERATE_SENTINEL = float("inf")
 
@@ -55,6 +70,24 @@ def _check_recurrence_plan(cells: list[SystemConfig], samples: int) -> None:
         _check_n(cell.n_particles)
 
 
+def _estimate(blocks, n: int) -> RecurrenceEstimate:
+    """Recurrence estimate from the coupling rows of an N-particle system,
+    given in order as writable row blocks, which are sorted in place."""
+    # Couplings are >= 0 and the diagonal is 0, so each sorted row starts
+    # with its diagonal zero; the gaps are taken between the rest.
+    freqs = np.empty(n)
+    r0 = 0
+    for rows in blocks:
+        rows.sort(axis=1)
+        np.diff(rows[:, 1:], axis=1).min(axis=1, out=freqs[r0:r0 + len(rows)])
+        r0 += len(rows)
+    freqs *= 2.0
+    min_gap = float(np.diff(np.sort(freqs)).min())
+    degenerate = bool(min_gap == 0.0 or np.any(freqs == 0.0))
+    period = DEGENERATE_SENTINEL if degenerate else 2.0 * np.pi / min_gap
+    return RecurrenceEstimate(period=period, frequencies=freqs, degenerate=degenerate)
+
+
 def recurrence_time(system: SpinSystem) -> RecurrenceEstimate:
     """Estimate the recurrence period 2*pi / min_{i != i'} |w_i - w_i'|.
 
@@ -64,19 +97,10 @@ def recurrence_time(system: SpinSystem) -> RecurrenceEstimate:
     g = system.couplings
     n = g.shape[0]
     _check_n(n)
-    # Couplings are >= 0 and the diagonal is 0, so each sorted row starts
-    # with its diagonal zero; the gaps are taken between the rest. Blocks of
-    # _BLOCK_ELEMENTS / N rows keep the sorted copy and its differences small.
-    freqs = np.empty(n)
+    # Copies of _BLOCK_ELEMENTS / N rows keep the sorted rows and their
+    # differences small.
     height = max(1, _BLOCK_ELEMENTS // n)
-    for r0 in range(0, n, height):
-        off = np.sort(g[r0:r0 + height], axis=1)[:, 1:]
-        np.diff(off, axis=1).min(axis=1, out=freqs[r0:r0 + height])
-    freqs *= 2.0
-    min_gap = float(np.diff(np.sort(freqs)).min())
-    degenerate = bool(min_gap == 0.0 or np.any(freqs == 0.0))
-    period = DEGENERATE_SENTINEL if degenerate else 2.0 * np.pi / min_gap
-    return RecurrenceEstimate(period=period, frequencies=freqs, degenerate=degenerate)
+    return _estimate((g[r0:r0 + height].copy() for r0 in range(0, n, height)), n)
 
 
 def recurrence_stats(
@@ -91,11 +115,15 @@ def recurrence_stats(
     periods = []
     n_degenerate = 0
     for i in range(samples):
-        # The system goes as soon as its estimate is taken, so the next
-        # draw's build reuses its memory.
-        est = recurrence_time(build_system(
-            dataclasses.replace(cell, rng_seed=derive_seed(master_seed, i))
-        ))
+        draw = dataclasses.replace(cell, rng_seed=derive_seed(master_seed, i))
+        if cell.coupling_mode == "potential":
+            # The coupling rows come from the positions a block at a time,
+            # so a draw never holds an N x N array.
+            positions = place_particles(draw, make_rng(draw.rng_seed))
+            est = _estimate(_coupling_rows(positions, cell.eta, cell.epsilon),
+                            cell.n_particles)
+        else:
+            est = recurrence_time(build_system(draw))
         if est.degenerate:
             n_degenerate += 1
         else:

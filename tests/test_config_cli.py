@@ -199,10 +199,13 @@ class TestParseConfig:
         assert parse_config(text) == numpy
         assert config_hash(numpy) == config_hash(
             RunConfig(n=12, rho=2.0, fit_window=(0.0, 5.0), n_list=(4,), rho_list=(1.0,)))
-        # A float in an int field, which no build accepts, does not render
-        # as an integer it is not.
+        # A float in an int field is rejected at construction where the
+        # system is checked, and elsewhere does not render as an integer it
+        # is not.
+        with pytest.raises(ConfigValidationError, match="n_particles must be an integer"):
+            RunConfig(n=2.5)
         with pytest.raises(TypeError):
-            render_config(RunConfig(n=2.5))
+            render_config(RunConfig(n_list=(2.5,)))
 
 
 def read_output(path):

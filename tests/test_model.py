@@ -85,14 +85,14 @@ class TestBoxSide:
 class TestPlacement:
     def test_single_particle_inside_box(self):
         cfg = SystemConfig(n_particles=1, dimension=2, density=4.0, rng_seed=9)
-        pos, _ = place_particles(cfg, make_rng(cfg.rng_seed))
+        pos = place_particles(cfg, make_rng(cfg.rng_seed))
         side = box_side(1, 4.0, 2)
         assert pos.shape == (1, 2)
         assert np.all(pos >= 0) and np.all(pos < side)
 
     def test_all_pairs_separated(self):
         cfg = SystemConfig(n_particles=100, dimension=3, density=1.0, rng_seed=4)
-        pos, _ = place_particles(cfg, make_rng(cfg.rng_seed))
+        pos = place_particles(cfg, make_rng(cfg.rng_seed))
         diff = pos[:, None, :] - pos[None, :, :]
         r = np.linalg.norm(diff, axis=2)
         off = r[~np.eye(100, dtype=bool)]
@@ -101,22 +101,71 @@ class TestPlacement:
 
     def test_deterministic(self):
         cfg = SystemConfig(n_particles=20, dimension=3, density=2.0, rng_seed=77)
-        p1, _ = place_particles(cfg, make_rng(cfg.rng_seed))
-        p2, _ = place_particles(cfg, make_rng(cfg.rng_seed))
+        p1 = place_particles(cfg, make_rng(cfg.rng_seed))
+        p2 = place_particles(cfg, make_rng(cfg.rng_seed))
         assert np.array_equal(p1, p2)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_resamples_match_sequential_draws(self, monkeypatch, seed):
-        # A separation of 1e-3 of the side leaves about 40 close pairs among
-        # 200 particles on a line, so several candidates are resampled.
-        monkeypatch.setattr(model, "MIN_SEPARATION_FACTOR", 1e-3)
-        cfg = SystemConfig(n_particles=200, dimension=1, rng_seed=seed)
+    @pytest.mark.parametrize("d, separation, seed", [
+        pytest.param(d, separation, seed, id=str(seed) if d == 1 else f"d{d}-{seed}")
+        for d, separation in ((1, 1e-3), (2, 4e-2), (3, 8e-2)) for seed in range(4)])
+    def test_resamples_match_sequential_draws(self, monkeypatch, d, separation, seed):
+        # Each separation (a fraction of the side) leaves 30-100 close pairs
+        # among 200 first draws, so several candidates are resampled. In
+        # D = 2 and 3 some rounds hold chains of close candidates, where a
+        # candidate is kept only because an earlier one was rejected.
+        monkeypatch.setattr(model, "MIN_SEPARATION_FACTOR", separation)
+        cfg = SystemConfig(n_particles=200, dimension=d, rng_seed=seed)
         rng, ref_rng = make_rng(seed), make_rng(seed)
-        pos, _ = place_particles(cfg, rng)
+        pos = place_particles(cfg, rng)
         assert np.array_equal(pos, _sequential_placement(cfg, ref_rng))
         assert rng.random() == ref_rng.random()
-        first_draws = make_rng(seed).random((200, 1)) * box_side(200, 1.0, 1)
-        assert not np.array_equal(pos, first_draws)
+        side = box_side(200, 1.0, d)
+        first_draws = make_rng(seed).random((200, d)) * side
+        assert np.count_nonzero(pdist(first_draws) < separation * side) >= 5
+
+    def test_chain_settles_within_its_round(self, monkeypatch):
+        # Candidates 0.9 apart on a line at min_sep 1: the first rejects the
+        # second, so the third is kept and rejects the fourth, and the next
+        # round draws two candidates. (A later round would also drop a
+        # wrongly kept fourth, so only the draw sizes show the rule.)
+        monkeypatch.setattr(model, "MIN_SEPARATION_FACTOR", 0.1)
+        cfg = SystemConfig(n_particles=4, dimension=1, density=0.4)  # side 10
+        draws = iter([np.array([[0.0], [0.09], [0.18], [0.27]]), np.array([[0.5], [0.9]])])
+        shapes = []
+
+        class Draws:
+            def random(self, shape):
+                shapes.append(shape)
+                return next(draws)
+
+        pos = place_particles(cfg, Draws())
+        assert shapes == [(4, 1), (2, 1)]
+        assert np.array_equal(pos, np.array([[0.0], [0.18], [0.5], [0.9]]) * 10)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sweep_finds_brute_force_close_pairs(self, d):
+        # Every first coordinate lies within 2 min_sep of the others, so the
+        # sweep lists most pairs and the exact distance must reject most of
+        # them. A tie, and pairs exactly at (dyadic, so exact) and one ulp
+        # under min_sep along the first axis, sit on the boundary of both
+        # tests.
+        min_sep = 2.0 ** -10
+        rng = np.random.default_rng(d)
+        points = rng.random((300, d)) * 30 * min_sep
+        points[:, 0] = 0.5 + rng.random(300) * 2 * min_sep
+        points[1, 0] = points[0, 0]
+        points[3] = points[2]
+        points[2, 0], points[3, 0] = 0.5 + min_sep / 2, 0.5 + 3 * min_sep / 2
+        points[5] = points[4]
+        points[4, 0], points[5, 0] = 0.5, np.nextafter(0.5 + min_sep, 0.0)
+        i, j = model._close_pairs(points, min_sep)
+        iu, ju = np.triu_indices(300, k=1)
+        close = pdist(points) < min_sep
+        assert sorted(zip(i.tolist(), j.tolist())) == list(zip(iu[close].tolist(),
+                                                                ju[close].tolist()))
+        assert 0 < close.sum() < 0.2 * close.size
+        assert (4, 5) in zip(i.tolist(), j.tolist())
+        assert (2, 3) not in zip(i.tolist(), j.tolist())
 
     def test_stall_raises(self, monkeypatch):
         # A separation of twice the side exceeds the box diagonal in D <= 3,
@@ -131,52 +180,53 @@ class TestPlacement:
 class TestCouplings:
     def test_inverse_distance(self):
         pos = np.array([[0.0], [2.0]])
-        g = build_couplings(squareform(pdist(pos)), eta=1.0, epsilon=1.0)
+        g = build_couplings(pos, eta=1.0, epsilon=1.0)
         assert g[0, 1] == pytest.approx(0.5)
         assert g[0, 0] == 0.0 and g[1, 1] == 0.0
 
     def test_inverse_square(self):
         pos = np.array([[0.0], [2.0]])
-        g = build_couplings(squareform(pdist(pos)), eta=1.0, epsilon=2.0)
+        g = build_couplings(pos, eta=1.0, epsilon=2.0)
         assert g[0, 1] == pytest.approx(0.25)
 
     def test_collinear_triple(self):
         pos = np.array([[0.0], [1.0], [3.0]])
-        r = squareform(pdist(pos))
-        g = build_couplings(r, eta=1.0, epsilon=1.0)
-        assert g is r  # the distances are overwritten in place
+        g = build_couplings(pos, eta=1.0, epsilon=1.0)
         assert g[0, 1] == pytest.approx(1.0)
         assert g[0, 2] == pytest.approx(1.0 / 3.0)
         assert g[1, 2] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_broadcast_formula(self, monkeypatch, d):
-        # Placement builds _BLOCK_ELEMENTS // N distance rows at a time. At
-        # the shared budget N = 1000 takes 15 blocks of 65 rows and one of
-        # 25; a budget of 3000 elements splits N = 60 into 50 + 10 rows and
-        # N = 200 into 13 blocks of 15 rows and one of 5.
+        # build_couplings takes _BLOCK_ELEMENTS // N coupling rows at a time.
+        # At the shared budget N = 1000 takes 15 blocks of 65 rows and one
+        # of 25; a budget of 3000 elements splits N = 60 into 50 + 10 rows
+        # and N = 200 into 13 blocks of 15 rows and one of 5.
         for n, elements in ((60, 3000), (200, 3000), (1000, model._BLOCK_ELEMENTS)):
             monkeypatch.setattr(model, "_BLOCK_ELEMENTS", elements)
-            pos, r = place_particles(SystemConfig(n_particles=n, dimension=d, rng_seed=d),
-                                     make_rng(d))
+            pos = place_particles(SystemConfig(n_particles=n, dimension=d, rng_seed=d),
+                                  make_rng(d))
+            off = ~np.eye(n, dtype=bool)
+            r = squareform(pdist(pos))[off]
             for epsilon in (1.0, 2.5):
-                ref = _broadcast_couplings(pos, 1.7, epsilon)
-                assert np.array_equal(build_couplings(squareform(pdist(pos)), 1.7, epsilon), ref)
-                assert np.array_equal(build_couplings(r.copy(), 1.7, epsilon), ref)
+                g = build_couplings(pos, 1.7, epsilon)
+                assert np.array_equal(g, _broadcast_couplings(pos, 1.7, epsilon))
+                assert np.array_equal(g[off], 1.7 / r ** epsilon)
 
     def test_unit_epsilon_is_eta_over_r(self):
         # epsilon = 1 skips the power pass, which changes no bit.
-        _, r = place_particles(SystemConfig(n_particles=300, dimension=3, rng_seed=4),
-                               make_rng(4))
+        pos = place_particles(SystemConfig(n_particles=300, dimension=3, rng_seed=4),
+                              make_rng(4))
+        r = squareform(pdist(pos))
         off = ~np.eye(len(r), dtype=bool)
         for epsilon, expected in ((1.0, 1.7 / r[off]), (1, 1.7 / r[off]),
                                   (2.0, 1.7 / r[off] ** 2.0)):
-            assert np.array_equal(build_couplings(r.copy(), 1.7, epsilon)[off], expected)
+            assert np.array_equal(build_couplings(pos, 1.7, epsilon)[off], expected)
 
     def test_coincident_particles_rejected(self):
         pos = np.array([[1.0], [1.0]])
         with pytest.raises(ValueError, match="particles 0 and 1"):
-            build_couplings(squareform(pdist(pos)), eta=1.0, epsilon=1.0)
+            build_couplings(pos, eta=1.0, epsilon=1.0)
 
     def test_exact_symmetry(self):
         cfg = SystemConfig(n_particles=40, dimension=3, density=1.0, rng_seed=13)
@@ -193,16 +243,16 @@ class TestCouplings:
 class TestBuildSystem:
     @pytest.mark.parametrize("separation", [None, 1e-3])
     def test_couplings_from_placement_distances(self, monkeypatch, separation):
-        # build_system takes the couplings from placement's last distances;
-        # with 1e-3 several candidates are resampled first.
+        # build_system takes the couplings from the placed positions; with
+        # 1e-3 several candidates are resampled first.
         if separation is not None:
             monkeypatch.setattr(model, "MIN_SEPARATION_FACTOR", separation)
         for d in (1, 2, 3):
             cfg = SystemConfig(n_particles=200, dimension=d, epsilon=1.5, eta=0.7, rng_seed=d)
             s = build_system(cfg)
-            assert np.array_equal(s.positions, place_particles(cfg, make_rng(cfg.rng_seed))[0])
-            assert np.array_equal(s.couplings,
-                                  build_couplings(squareform(pdist(s.positions)), 0.7, 1.5))
+            assert np.array_equal(s.positions, place_particles(cfg, make_rng(cfg.rng_seed)))
+            assert np.array_equal(s.couplings, build_couplings(s.positions, 0.7, 1.5))
+            assert np.array_equal(s.couplings, _broadcast_couplings(s.positions, 0.7, 1.5))
 
     @pytest.mark.parametrize("mode, coupling_calls", [("potential", 1), ("uniform-random", 0)])
     def test_runs_public_build_steps(self, monkeypatch, mode, coupling_calls):
@@ -219,9 +269,9 @@ class TestBuildSystem:
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_one_square_array_per_system(self, d):
-        # The distances become the couplings in place, and each recurrence
-        # draw's system is gone before the next is built, so neither holds
-        # more than one N x N float array at a time.
+        # A system holds its couplings as its only N x N float array, and a
+        # recurrence draw holds none, so neither holds more than one at a
+        # time.
         n = 1000
         cfg = SystemConfig(n_particles=n, dimension=d, rng_seed=d)
         for build in (lambda: build_system(cfg), lambda: recurrence_stats(cfg, 3, 11)):
@@ -324,4 +374,14 @@ class TestConfigValidation:
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
+            SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_particles": 2.5}, "n_particles must be an integer, got 2.5"),
+        ({"n_particles": 50.0}, "n_particles must be an integer, got 50.0"),
+        ({"n_particles": 5, "dimension": 3.0}, "dimension must be an integer, got 3.0"),
+    ])
+    def test_rejects_non_integer_counts(self, kwargs, message):
+        # A float fails at construction, not later inside numpy.
+        with pytest.raises(ValueError, match=f"^{message}$"):
             SystemConfig(**kwargs)

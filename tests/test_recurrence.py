@@ -1,8 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spindecoh import recurrence
-from spindecoh.model import SystemConfig, build_system
+from spindecoh import model, recurrence
+from spindecoh.model import SystemConfig, build_system, derive_seed
 from spindecoh.recurrence import recurrence_stats, recurrence_time
 
 from test_model import make_custom_system
@@ -158,3 +161,38 @@ class TestRecurrenceStats:
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
             recurrence_stats(self.CELL, 1, master_seed=1)
+
+    @pytest.mark.parametrize("n, d, epsilon", [
+        (33, 1, 1.0), (33, 3, 2.5),
+        *((1000, d, epsilon) for d in (1, 2, 3) for epsilon in (1.0, 2.5))])
+    def test_matches_built_systems(self, monkeypatch, n, d, epsilon):
+        # Potential-mode draws take their coupling rows from the positions;
+        # the aggregates equal those of full systems over the same seeds, bit
+        # for bit. N = 33 takes coupling and sort blocks of 9 rows (and one
+        # of 6) at a budget of 300.
+        if n == 33:
+            monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 300)
+            monkeypatch.setattr(recurrence, "_BLOCK_ELEMENTS", 300)
+        cell = SystemConfig(n_particles=n, dimension=d, epsilon=epsilon, eta=0.7)
+        periods = np.array([
+            recurrence_time(build_system(
+                dataclasses.replace(cell, rng_seed=derive_seed(9, i)))).period
+            for i in range(3)])
+        st = recurrence_stats(cell, 3, master_seed=9)
+        assert st.degenerate_fraction == 0.0
+        assert (st.mean, st.std, st.median, st.log10_mean) == (
+            float(periods.mean()), float(periods.std()), float(np.median(periods)),
+            float(np.log10(periods).mean()))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_draws_hold_no_square_array(self, d):
+        # A potential-mode draw holds its positions and one block of coupling
+        # rows with its difference and gap temporaries (512 kB each at the
+        # shared budget), where a 4000 x 4000 array alone would take 128 MB.
+        tracemalloc.start()
+        try:
+            recurrence_stats(SystemConfig(n_particles=4000, dimension=d), 3, master_seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
