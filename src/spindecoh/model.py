@@ -194,23 +194,11 @@ def place_particles(config: SystemConfig, rng: np.random.Generator) -> np.ndarra
     while len(positions) < n:
         points = np.vstack([positions, rng.random((n - len(positions), d)) * side])
         i, j = _close_pairs(points, min_sep)
-        # Kept positions are mutually separated, so every j is a candidate. A
-        # candidate is settled once every earlier partner is: rejected if one
-        # of them is kept, else kept. Each pass settles at least the first
-        # open candidate.
         keep = np.ones(n, dtype=bool)
-        open_ = np.zeros(n, dtype=bool)
-        open_[j] = True
-        while open_.any():
-            live = open_[j]
-            earlier, later = i[live], j[live]
-            settled = ~open_[earlier]
-            rejected = np.zeros(n, dtype=bool)
-            rejected[later[settled & keep[earlier]]] = True
-            waiting = np.zeros(n, dtype=bool)
-            waiting[later[~settled]] = True
-            keep[rejected] = False
-            open_ &= waiting & ~rejected
+        # Kept positions are mutually separated, so every j is a candidate;
+        # candidates settle in draw order.
+        for later in np.flatnonzero(np.bincount(j, minlength=n)):
+            keep[later] = not keep[i[j == later]].any()
         stalled = stalled + 1 if keep.sum() == len(positions) else 0
         if stalled == MAX_PLACEMENT_ATTEMPTS:
             raise PlacementError(f"no particle placed in {MAX_PLACEMENT_ATTEMPTS} rounds")

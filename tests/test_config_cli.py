@@ -508,6 +508,8 @@ def builds(monkeypatch):
     calls = []
     for module in (cli, estimation, recurrence):
         monkeypatch.setattr(module, "build_system", lambda *a, **k: calls.append(a))
+    # A potential-mode recurrence draw places its particles without a build.
+    monkeypatch.setattr(recurrence, "place_particles", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(estimation, "_xi", lambda *a, **k: calls.append(a))
     return calls
 

@@ -123,25 +123,6 @@ class TestPlacement:
         first_draws = make_rng(seed).random((200, d)) * side
         assert np.count_nonzero(pdist(first_draws) < separation * side) >= 5
 
-    def test_chain_settles_within_its_round(self, monkeypatch):
-        # Candidates 0.9 apart on a line at min_sep 1: the first rejects the
-        # second, so the third is kept and rejects the fourth, and the next
-        # round draws two candidates. (A later round would also drop a
-        # wrongly kept fourth, so only the draw sizes show the rule.)
-        monkeypatch.setattr(model, "MIN_SEPARATION_FACTOR", 0.1)
-        cfg = SystemConfig(n_particles=4, dimension=1, density=0.4)  # side 10
-        draws = iter([np.array([[0.0], [0.09], [0.18], [0.27]]), np.array([[0.5], [0.9]])])
-        shapes = []
-
-        class Draws:
-            def random(self, shape):
-                shapes.append(shape)
-                return next(draws)
-
-        pos = place_particles(cfg, Draws())
-        assert shapes == [(4, 1), (2, 1)]
-        assert np.array_equal(pos, np.array([[0.0], [0.18], [0.5], [0.9]]) * 10)
-
     @pytest.mark.parametrize("d", [2, 3])
     def test_sweep_finds_brute_force_close_pairs(self, d):
         # Every first coordinate lies within 2 min_sep of the others, so the
