@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+# argparse's gettext imports locale when the first parser is built; importing
+# it here keeps that set-up out of every command's run.
+import locale
 import sys
 from pathlib import Path
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
+import re
 from dataclasses import dataclass, fields, replace
 
 from .model import SystemConfig
@@ -23,6 +24,11 @@ class ConfigParseError(ValueError):
 
 class ConfigValidationError(ValueError):
     """Config parsed but violates a constraint."""
+
+
+# The config keys of the SystemConfig fields named in its messages.
+_KEYS = {"n_particles": "n", "dimension": "d", "density": "rho", "rng_seed": "seed"}
+_FIELD_NAME = re.compile(r"\b(" + "|".join(_KEYS) + r")\b")
 
 
 @dataclass(frozen=True)
@@ -54,8 +60,9 @@ class RunConfig:
     def __post_init__(self):
         try:
             self.system_config()
-        except ValueError as exc:
-            raise ConfigValidationError(str(exc)) from exc
+        except ValueError as exc:  # reported under the keys the caller wrote
+            message = _FIELD_NAME.sub(lambda name: _KEYS[name[0]], str(exc))
+            raise ConfigValidationError(message) from exc
 
     def system_config(self) -> SystemConfig:
         return SystemConfig(

@@ -20,8 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from . import _trf
 from .dynamics import Trajectory, _time_grid, _xi
 from .model import SystemConfig, build_system, derive_seed
 
@@ -442,20 +442,18 @@ def fit_decoherence_law(sweep: list[EnsembleStats], n: int, rho: float) -> Scali
 
     r0 = float(corrected.min())
     p0 = max(float(corrected.max() - r0), 1e-3) * float(n_vals.min()) ** 0.5
-    sol = optimize.least_squares(
-        residuals, x0=[p0, 0.5, max(r0, 1e-6)],
-        bounds=([0.0, 0.0, 0.0], [np.inf, np.inf, np.inf]),
-    )
-    if not sol.success:
-        raise RuntimeError(f"stage-2 scaling fit failed: {sol.message}")
-    p, q, r = (float(v) for v in sol.x)
+    params, fun, jac, status = _trf.least_squares_nonneg(residuals, [p0, 0.5, max(r0, 1e-6)])
+    if status <= 0:
+        raise RuntimeError("stage-2 scaling fit failed: "
+                           "The maximum number of function evaluations is exceeded.")
+    p, q, r = (float(v) for v in params)
     # A stderr is undefined (NaN) without a residual degree of freedom (3 N
     # points for 3 parameters) or where an ill-conditioned inverse leaves
     # its diagonal entry negative.
     dof = n_vals.size - 3
-    resid_var = float(sol.fun @ sol.fun) / dof if dof > 0 else float("nan")
+    resid_var = float(fun @ fun) / dof if dof > 0 else float("nan")
     try:
-        cov = resid_var * np.linalg.inv(sol.jac.T @ sol.jac)
+        cov = resid_var * np.linalg.inv(jac.T @ jac)
         var = np.diag(cov)
         p_err, q_err, r_err = (
             float(np.sqrt(v)) if np.isfinite(v) and v > 0.0 else float("nan")

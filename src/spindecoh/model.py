@@ -19,6 +19,9 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+# numpy imports its random module on first use; importing it here keeps
+# that set-up out of the first draw.
+import numpy.random
 
 AMPLITUDE_MODES = ("equal-superposition", "random-complex")
 COUPLING_MODES = ("potential", "uniform-random")

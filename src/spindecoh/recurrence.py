@@ -88,6 +88,14 @@ def _estimate(blocks, n: int) -> RecurrenceEstimate:
     return RecurrenceEstimate(period=period, frequencies=freqs, degenerate=degenerate)
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of NaN-free values, without its NaN check (which imports
+    numpy.ma): the middle sorted value, or the mean of the middle two."""
+    s = np.sort(values)
+    h = s.size // 2
+    return s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2
+
+
 def recurrence_time(system: SpinSystem) -> RecurrenceEstimate:
     """Estimate the recurrence period 2*pi / min_{i != i'} |w_i - w_i'|.
 
@@ -134,7 +142,7 @@ def recurrence_stats(
     else:
         mean = float(arr.mean())
         std = float(arr.std())
-        median = float(np.median(arr))
+        median = float(_median(arr))
         log10_mean = float(np.log10(arr).mean())
     return RecurrenceStats(
         config=cell,

@@ -202,10 +202,25 @@ class TestParseConfig:
         # A float in an int field is rejected at construction where the
         # system is checked, and elsewhere does not render as an integer it
         # is not.
-        with pytest.raises(ConfigValidationError, match="n_particles must be an integer"):
+        with pytest.raises(ConfigValidationError, match="n must be an integer"):
             RunConfig(n=2.5)
         with pytest.raises(TypeError):
             render_config(RunConfig(n_list=(2.5,)))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 50.0}, "n must be an integer, got 50.0"),
+        ({"n": 0}, "n must be >= 1, got 0"),
+        ({"d": 3.0}, "d must be an integer, got 3.0"),
+        ({"d": 7}, "d must be 1, 2 or 3, got 7"),
+        ({"rho": -1.0}, "rho must be positive, got -1.0"),
+        ({"rho": math.inf}, "rho must be finite, got inf"),
+        ({"eta": 0.0}, "eta must be positive, got 0.0")])
+    def test_errors_name_config_keys(self, kwargs, message):
+        # The system's checks report the config keys the caller wrote, not
+        # the SystemConfig fields they fill.
+        with pytest.raises(ConfigValidationError) as info:
+            RunConfig(**kwargs)
+        assert str(info.value) == message
 
 
 def read_output(path):
@@ -685,19 +700,54 @@ class TestOptionTable:
             assert main(argv) == 0, argv
         assert w.check(outs, reference)[0] == 0, capsys.readouterr().err
 
-    def test_cli_import_leaves_out_scipy_stats(self):
+    def test_recorded_sweeps_refit_to_recorded_laws(self):
+        # Stage 2 retraces scipy's bounded TRF, so every recorded sweep refits
+        # to its recorded law, where the fit stopped short of R = 0 too
+        # (program seeds 1002, 1003, 1010 and 1024).
+        recorded = json.loads((PERFBENCH_DIR / "reference.json").read_text())["scaling-sweep"]
+        n, rho = recorded["params"]["n"], recorded["params"]["rho"]
+        assert len(recorded["seeds"]) == PERFBENCH.POOL
+        for seed, ref in recorded["seeds"].items():
+            sweep = [estimation.EnsembleStats(
+                config=model.SystemConfig(n_particles=int(row[0]), dimension=int(row[1]),
+                                          density=row[2], eta=row[3], epsilon=row[4]),
+                u=int(row[5]), tau_mean=row[6], tau_std=row[7], xi_mean=row[8],
+                xi_std=row[9], runs=()) for row in ref["rows"]]
+            fit = estimation.fit_decoherence_law(sweep, n, rho)
+            assert len(ref["law_columns"]) == 12
+            for col, want in zip(ref["law_columns"], ref["law"]):
+                rtol = PERFBENCH.LAW_STDERR_RTOL if col.endswith("_stderr") else PERFBENCH.LAW_RTOL
+                assert PERFBENCH._close(getattr(fit, col), want, rtol, PERFBENCH.LAW_ATOL), (
+                    seed, col, getattr(fit, col), want)
+
+    def test_cli_leaves_out_scipy_and_numpy_ma(self, tmp_path):
+        # scipy is a test-only dependency: importing the CLI loads none of
+        # it. Nor do simulate, recurrence and oracle-check calls load
+        # numpy.ma, which np.median's NaN check imports.
         src = str(Path(spindecoh.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        probe = "import sys, spindecoh.cli; print('scipy.stats' in sys.modules)"
+        (tmp_path / "recurrence.cfg").write_text("n_list = 10, 20\nd_list = 1, 3\nu = 3\n")
+        (tmp_path / "oracle.cfg").write_text(
+            "n = 6\namplitude_mode = random-complex\ncoupling_mode = uniform-random\n")
+        probe = (
+            "import sys, spindecoh.cli as cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            f"out = {str(tmp_path)!r}\n"
+            "for argv in (['simulate', '--n', '20', '--dt', '1', '--tmax', '10',"
+            " '--with-z', '--with-entropy'],"
+            " ['recurrence', '--config', out + '/recurrence.cfg'],"
+            " ['oracle-check', '--config', out + '/oracle.cfg', '--times', '5']):\n"
+            "    assert cli.main([*argv, '--out', out + '/' + argv[0]]) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n")
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, timeout=120, check=True)
-        assert result.stdout.strip() == "False"
+        assert result.stdout.splitlines()[0] == "[]"
+        assert result.stdout.splitlines()[-1] == "[]"
 
     def test_scipy_uses_pinned(self):
-        # Distances, couplings and entropies are built in numpy; only this
-        # name is left to replace before scipy can become a test-only
-        # dependency.
+        # Distances, couplings, entropies and the stage-2 scaling fit are
+        # computed in numpy: scipy is a test-only dependency.
         uses = set()
         for path in Path(spindecoh.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -709,7 +759,7 @@ class TestOptionTable:
                     continue
                 uses |= {(path.stem, name) for name in names
                          if name == "scipy" or name.startswith("scipy.")}
-        assert uses == {("estimation", "scipy.optimize")}
+        assert uses == set()
 
 
 class TestPublicSurface:

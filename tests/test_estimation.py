@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from spindecoh import estimation
+from spindecoh import _trf, estimation
 from spindecoh.dynamics import Trajectory, sample_trajectory
 from spindecoh.estimation import (
     DecayFit,
@@ -427,6 +428,46 @@ class TestScalingLaw:
         assert fit.r == pytest.approx(self.R, rel=1e-5)
         assert fit.a == pytest.approx(1.27, rel=1e-6)
         assert fit.b == pytest.approx(0.02, rel=1e-6)
+
+    def bound_sweep(self):
+        # R = -0.05 lies outside the bound R >= 0, so the fit stops on it.
+        sweep = [_fake_stats(n, 1.0, decay_law(n, 1.0, 1.0, 0.45, 0.3, -0.05, self.S))
+                 for n in (10, 20, 50, 100, 200)]
+        return sweep + [_fake_stats(50, rho, decay_law(50, rho, 1.0, 0.45, 0.3, -0.05, self.S))
+                        for rho in (0.5, 2.0, 5.0)]
+
+    @pytest.mark.parametrize("grid", ["five", "three", "bound"])
+    def test_stage2_matches_scipy(self, monkeypatch, grid):
+        # The numpy retrace stops where scipy's bounded TRF stops; only the
+        # LAPACK builds behind their SVDs differ. A parameter on its bound
+        # is compared absolutely.
+        sweep = {"five": self.synthetic_sweep(),
+                 "three": [s for s in self.synthetic_sweep()
+                           if s.config.n_particles in (10, 50, 200)],
+                 "bound": self.bound_sweep()}[grid]
+        fit = fit_decoherence_law(sweep, 50, 1.0)
+
+        def scipy_stage2(fun, x0):
+            sol = optimize.least_squares(fun, x0, bounds=(0.0, np.inf))
+            return sol.x, sol.fun, sol.jac, sol.status
+
+        monkeypatch.setattr(_trf, "least_squares_nonneg", scipy_stage2)
+        want = fit_decoherence_law(sweep, 50, 1.0)
+        for name in ("p", "q", "r", "p_stderr", "q_stderr", "r_stderr"):
+            assert getattr(fit, name) == pytest.approx(getattr(want, name), rel=1e-6,
+                                                       abs=1e-12, nan_ok=True), name
+        if grid == "three":
+            assert np.isnan([fit.p_stderr, fit.q_stderr, fit.r_stderr]).all()
+        if grid == "bound":
+            assert 0.0 < fit.r < 1e-12 and want.r < 1e-12
+
+    def test_stage2_budget_spent_raises(self, monkeypatch):
+        # Status 0: the evaluations ran out before a tolerance was met.
+        monkeypatch.setattr(_trf, "least_squares_nonneg",
+                            functools.partial(_trf.least_squares_nonneg, max_nfev=3))
+        with pytest.raises(RuntimeError, match="^stage-2 scaling fit failed: The maximum "
+                           "number of function evaluations is exceeded.$"):
+            fit_decoherence_law(self.synthetic_sweep(), 50, 1.0)
 
     def test_worked_example(self):
         # Electromagnetic-strength cell: N=100 in 0.01 m^3 at eta=2.2e6.

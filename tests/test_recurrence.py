@@ -132,6 +132,13 @@ class TestRecurrenceStats:
         s2 = recurrence_stats(self.CELL, 20, master_seed=4)
         assert s1 == s2
 
+    @pytest.mark.parametrize("size", range(1, 12))
+    def test_median_is_numpys(self, size):
+        # Odd and even counts, ties included, give np.median's bits.
+        periods = np.random.default_rng(size).lognormal(10.0, 5.0, size)
+        for values in (periods, np.round(periods, -3), np.full(size, 7.5)):
+            assert recurrence._median(values) == np.median(values)
+
     def test_summary_fields(self):
         st = recurrence_stats(self.CELL, 30, master_seed=5)
         assert st.degenerate_fraction == 0.0
