@@ -155,7 +155,6 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     if args.with_entropy:
         columns.append("s_tot")
         parts.append(particle_entropies(system, traj.coherences).sum(axis=1))
-    del system, traj  # the formatter's blocks reuse the coupling matrix's memory
     write_csv(Path(cfg.out) / "trajectory.csv", _meta(cfg), columns, np.column_stack(parts))
     return EXIT_OK
 

@@ -24,7 +24,10 @@ strip's first chunk starts at its own first row: its h x h corner is
 evaluated in both orientations and reaches its rows through the row sums,
 and the columns past the corner take the other orientation through the
 column sums, so only the corners are evaluated twice. Row and column sums
-are matrix-vector products with ones.
+are matrix-vector products with ones. The chunks take their couplings,
+doubled in place to 2g, as views of blocks of at most w x w from
+`model._coupling_blocks` (`_chunk_couplings`); in potential mode these
+come from the positions, so no (N, N) array is read or made.
 
 The samples go in blocks of K consecutive times: K = ceil(sqrt(T)) on a
 uniform grid of more than _ONE_BLOCK samples, else K = 1 (`_split_grid`).
@@ -86,7 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _BLOCK_ELEMENTS, SpinSystem, _positive_finite
+from .model import _BLOCK_ELEMENTS, SpinSystem, _coupling_blocks, _positive_finite
 
 # Radicand of the eigenvalue square root may leave [0, 1] by round-off; this
 # much is silently clamped, anything worse is a hard error.
@@ -187,6 +190,30 @@ def _strip_chunks(n: int, w: int, h: int) -> Iterator[tuple[int, int, int, int, 
             yield i, ie, c0, min(c0 + w, n), max(c0, ie) - c0
 
 
+def _chunk_couplings(system: SpinSystem, w: int,
+                     h: int) -> Iterator[tuple[int, int, int, int, int, np.ndarray]]:
+    """_strip_chunks' chunks, each with its block of 2g: a view of a block
+    of at most w x w couplings from `model._coupling_blocks`, doubled in
+    place. A block takes every column from its first chunk's on and as
+    many whole strips as fit, else its strip and w^2 / h columns, so thin
+    strips share a block and each block costs few numpy calls; w x w keeps
+    it small beside the cos^2 tables."""
+    n = system.n_particles
+    couplings = _coupling_blocks(system, w * w)
+    r1 = b0 = b1 = 0
+    for i, ie, c0, c1, cut in _strip_chunks(n, w, h):
+        if not (ie <= r1 and b0 <= c0 and c1 <= b1):
+            strips = w * w // (h * (n - c0))
+            r0, b0 = i, c0
+            if strips:
+                r1, b1 = min(n, i + strips * h), n
+            else:
+                r1, b1 = ie, min(n, c0 + w * w // (ie - i))
+            g2 = couplings(r0, r1, b0, b1)
+            g2 *= 2.0
+        yield i, ie, c0, c1, cut, g2[i - r0:ie - r0, c0 - b0:c1 - b0]
+
+
 def _tables(times: np.ndarray, step: float | None, k: int, runs: list, table: np.ndarray,
             h: int, w: int) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
     """Table builder for blocks t = A_b + B_j of K samples, A_b = times[b K]
@@ -261,10 +288,10 @@ def _log_sums(system: SpinSystem, times: np.ndarray,
         scale_cols = np.repeat(scale[:, None], m * k, axis=1)
         floor_cols = np.repeat(floor[:, None], m * k, axis=1)
     with np.errstate(divide="ignore"):  # an exact zero factor gives log 0 = -inf
-        for i, ie, c0, c1, cut in _strip_chunks(n, w, h):
+        for i, ie, c0, c1, cut, g2 in _chunk_couplings(system, w, h):
             hh, ww = ie - i, c1 - c0
             col = 0
-            for (_, x), c in zip(runs, tables(2.0 * system.couplings[i:ie, c0:c1])):
+            for (_, x), c in zip(runs, tables(g2)):
                 # c: cos^2(2 g t), (hh, ww, x), shared by both orientations
                 if unit:
                     y = np.log(c, out=c)

@@ -1,21 +1,24 @@
 """Spin-system construction.
 
 Builds the static ingredients of a run: N spin-1/2 particles placed
-uniformly at random in a D-dimensional box, a symmetric coupling matrix
-derived from an eta / r**epsilon potential (or drawn uniformly at random),
-and per-particle superposition amplitudes (a_k, b_k).
+uniformly at random in a D-dimensional box, symmetric pair couplings
+from an eta / r**epsilon potential (or drawn uniformly at random), and
+per-particle superposition amplitudes (a_k, b_k).
 
 Placement computes no pairwise matrix: a sweep over the sorted first
 coordinate finds the few pairs that can lie under the minimum separation,
-and only those get an exact distance. Couplings are built a block of full
-rows at a time from the positions (`_coupling_rows`); a system holds them
-as its one square (N, N) float array, 8 N^2 bytes, and a recurrence draw
-holds only one block.
+and only those get an exact distance. A potential-mode system holds no
+coupling matrix either: it keeps its positions, eta and epsilon, and its
+callers take the couplings a block at a time (`_coupling_blocks`), each
+block made from the positions by one element code (`_coupling_block`)
+into a buffer of the caller's. Uniform-random and hand-built systems hold
+their (N, N) matrix.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +38,7 @@ MIN_SEPARATION_FACTOR = 1e-9
 MIN_BOX_SIDE = np.sqrt(np.finfo(float).tiny) / MIN_SEPARATION_FACTOR
 MAX_PLACEMENT_ATTEMPTS = 1000
 # Elements in one working-set block of every blocked loop: coupling rows
-# from positions, sorted coupling rows in recurrence, and the coherence
+# in build_couplings, sorted coupling rows in recurrence, and the coherence
 # kernel's temporaries (time blocks x offsets x rows x N). 64K float64
 # values keep a block's working set inside L2.
 _BLOCK_ELEMENTS = 65_536
@@ -125,7 +128,14 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """An assembled system: positions, amplitudes and coupling matrix.
+    """An assembled system: positions, amplitudes and couplings.
+
+    With no `matrix` the couplings are g_ij = eta / r_ij**epsilon of the
+    positions (potential mode), and the system holds no (N, N) array:
+    callers take blocks of them (`_coupling_blocks`). Uniform-random and
+    hand-built systems hold theirs as `matrix`; a hand-built system's
+    positions may be dummies. `couplings` is the full (N, N) matrix either
+    way, built on each access in potential mode.
 
     Immutable after construction (arrays are marked read-only), so instances
     are safe to share across threads.
@@ -134,15 +144,28 @@ class SpinSystem:
     positions: np.ndarray      # (N, D)
     amp_a: np.ndarray          # (N,) complex
     amp_b: np.ndarray          # (N,) complex
-    couplings: np.ndarray      # (N, N) symmetric, zero diagonal
+    matrix: np.ndarray | None = None  # (N, N) symmetric, zero diagonal
+    eta: float = 1.0
+    epsilon: float = 1.0
 
     def __post_init__(self):
-        for arr in (self.positions, self.amp_a, self.amp_b, self.couplings):
-            arr.setflags(write=False)
+        for arr in (self.positions, self.amp_a, self.amp_b, self.matrix):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n_particles(self) -> int:
         return self.amp_a.shape[0]
+
+    @property
+    def couplings(self) -> np.ndarray:
+        """The (N, N) coupling matrix, read-only; in potential mode a new
+        one from the positions on each access (8 N^2 bytes)."""
+        if self.matrix is not None:
+            return self.matrix
+        g = build_couplings(self.positions, self.eta, self.epsilon)
+        g.setflags(write=False)
+        return g
 
 
 def box_side(n_particles: int, density: float, dimension: int) -> float:
@@ -209,53 +232,77 @@ def place_particles(config: SystemConfig, rng: np.random.Generator) -> np.ndarra
     return positions
 
 
-def _coupling_rows(positions: np.ndarray, eta: float, epsilon: float):
-    """Yield the full coupling rows g_ij = eta / r_ij**epsilon in order,
-    _BLOCK_ELEMENTS // N rows (at least one) at a time, with a zero
-    diagonal; SingularCouplingError at the first coupling, in row order,
-    that is not finite.
+def _coupling_block(coords: np.ndarray, eta: float, epsilon: float,
+                    r0: int, r1: int, c0: int, c1: int, buf: np.ndarray) -> np.ndarray:
+    """The couplings g[r0:r1, c0:c1] = eta / r**epsilon of the (D, N)
+    coordinates, zero where a row meets its own column, as a contiguous
+    (r1 - r0, c1 - c0) array in the first row of `buf`, a (2, >= (r1 -
+    r0)(c1 - c0)) buffer that the call overwrites.
 
-    r_ij is a difference per dimension, squared and summed in dimension
-    order, then sqrt, and (x_i - x_j)^2 = (x_j - x_i)^2, so g is exactly
-    symmetric. Every block is written into one buffer, which the caller may
-    overwrite but must not keep past the next block."""
-    n = len(positions)
-    height = max(1, _BLOCK_ELEMENTS // n)
-    coords = np.ascontiguousarray(positions.T)
-    buf = np.empty((2, min(n, height) * n))
-    for r0 in range(0, n, height):
-        r1 = min(r0 + height, n)
-        rows = buf[0, :(r1 - r0) * n].reshape(r1 - r0, n)
-        diff = buf[1, :rows.size].reshape(rows.shape)
-        for k, x in enumerate(coords):
-            np.subtract(x[r0:r1, None], x[None, :], out=diff)
-            if k == 0:
-                np.square(diff, out=rows)
-            else:
-                rows += np.square(diff, out=diff)
-        np.sqrt(rows, out=rows)
-        with np.errstate(divide="ignore", over="ignore"):
-            if epsilon != 1:  # x**1 == x, so the pass would change no bit
-                rows **= epsilon
-            np.divide(eta, rows, out=rows)
-        rows[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
-        if not np.all(np.isfinite(rows)):
-            i, j = divmod(int(np.argmin(np.isfinite(rows))), n)
-            raise SingularCouplingError(f"coupling eta / r^epsilon is not finite for "
-                                        f"particles {r0 + i} and {j}, epsilon = {epsilon}")
-        yield rows
+    r is a difference per dimension, squared and summed in dimension
+    order, then sqrt, and (x_i - x_j)^2 = (x_j - x_i)^2, so every block
+    carries the bits of the same block of one exactly symmetric matrix.
+    r_ii = inf makes g_ii = eta / inf = 0, so a block of particles that
+    lie apart raises no floating-point error; two that coincide divide
+    by zero."""
+    g = buf[0, :(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+    diff = buf[1, :g.size].reshape(g.shape)
+    for k, x in enumerate(coords):
+        np.subtract(x[r0:r1, None], x[None, c0:c1], out=diff)
+        if k == 0:
+            np.square(diff, out=g)
+        else:
+            g += np.square(diff, out=diff)
+    lo, hi = max(r0, c0), min(r1, c1)
+    if lo < hi:
+        np.fill_diagonal(g[lo - r0:, lo - c0:], np.inf)
+    np.sqrt(g, out=g)
+    if epsilon != 1:  # x**1 == x, so the pass would change no bit
+        with np.errstate(over="ignore"):  # a far pair's coupling rounds to 0
+            g **= epsilon
+    return np.divide(eta, g, out=g)
+
+
+def _coupling_blocks(system: SpinSystem, size: int) -> Callable[[int, int, int, int], np.ndarray]:
+    """block(r0, r1, c0, c1): the system's couplings g[r0:r1, c0:c1], at
+    most `size` elements, as a contiguous writable array in one buffer that
+    belongs to this call, so a block is overwritten by the next. Blocks
+    come from the positions (`_coupling_block`) in potential mode and are
+    copied from the matrix otherwise."""
+    if system.matrix is not None:
+        buf = np.empty(size)
+
+        def block(r0, r1, c0, c1):
+            g = buf[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+            np.copyto(g, system.matrix[r0:r1, c0:c1])
+            return g
+    else:
+        coords = np.ascontiguousarray(system.positions.T)
+        buf = np.empty((2, size))
+
+        def block(r0, r1, c0, c1):
+            return _coupling_block(coords, system.eta, system.epsilon, r0, r1, c0, c1, buf)
+    return block
 
 
 def build_couplings(positions: np.ndarray, eta: float, epsilon: float) -> np.ndarray:
     """Coupling matrix g_ij = eta / r_ij**epsilon (symmetric, zero diagonal)
-    of the (N, D) positions; SingularCouplingError unless every coupling
-    is finite."""
+    of the (N, D) positions, _BLOCK_ELEMENTS // N rows (at least one) at a
+    time; SingularCouplingError at the first coupling, in row order, that
+    is not finite."""
     n = len(positions)
+    height = max(1, _BLOCK_ELEMENTS // n)
+    coords = np.ascontiguousarray(positions.T)
+    buf = np.empty((2, min(n, height) * n))
     g = np.empty((n, n))
-    r0 = 0
-    for rows in _coupling_rows(positions, eta, epsilon):
-        g[r0:r0 + len(rows)] = rows
-        r0 += len(rows)
+    for r0 in range(0, n, height):
+        r1 = min(r0 + height, n)
+        with np.errstate(divide="ignore", over="ignore"):
+            g[r0:r1] = rows = _coupling_block(coords, eta, epsilon, r0, r1, 0, n, buf)
+        if not np.all(np.isfinite(rows)):
+            i, j = divmod(int(np.argmin(np.isfinite(rows))), n)
+            raise SingularCouplingError(f"coupling eta / r^epsilon is not finite for "
+                                        f"particles {r0 + i} and {j}, epsilon = {epsilon}")
     return g
 
 
@@ -275,17 +322,20 @@ def _draw_amplitudes(config: SystemConfig, rng: np.random.Generator):
 
 
 def build_system(config: SystemConfig) -> SpinSystem:
-    """Assemble a SpinSystem from a config; deterministic given the seed."""
+    """Assemble a SpinSystem from a config; deterministic given the seed.
+    A potential-mode system keeps its positions, eta and epsilon and no
+    coupling matrix; SystemConfig's bound at the minimum separation keeps
+    every coupling finite."""
     rng = make_rng(config.rng_seed)
     positions = place_particles(config, rng)
-    if config.coupling_mode == "potential":
-        couplings = build_couplings(positions, config.eta, config.epsilon)
-    else:
+    matrix = None
+    if config.coupling_mode == "uniform-random":
         # The draw fills the upper triangle in row order and is mirrored
         # below it.
         n = config.n_particles
         upper = np.arange(n)[:, None] < np.arange(n)
-        couplings = np.zeros((n, n))
-        couplings[upper] = couplings.T[upper] = rng.random(n * (n - 1) // 2)
+        matrix = np.zeros((n, n))
+        matrix[upper] = matrix.T[upper] = rng.random(n * (n - 1) // 2)
     a, b = _draw_amplitudes(config, rng)
-    return SpinSystem(positions=positions, amp_a=a, amp_b=b, couplings=couplings)
+    return SpinSystem(positions=positions, amp_a=a, amp_b=b, matrix=matrix,
+                      eta=config.eta, epsilon=config.epsilon)

@@ -7,10 +7,9 @@ resulting distribution is extremely heavy-tailed, ensemble summaries
 carry the median and the log10 mean alongside mean and std.
 
 One loop (`_estimate`) sorts the coupling rows a block at a time and takes
-their gaps. `recurrence_time` feeds it copies of a system's rows;
-`recurrence_stats` feeds potential-mode draws the rows built from the
-placed positions, so a draw holds its positions and one row block, never
-an N x N array.
+their gaps. `recurrence_time` feeds it a system's row blocks
+(`_coupling_blocks`), so a potential-mode draw holds its positions and one
+row block, never an N x N array.
 """
 
 from __future__ import annotations
@@ -24,11 +23,9 @@ from .model import (
     _BLOCK_ELEMENTS,
     SpinSystem,
     SystemConfig,
-    _coupling_rows,
+    _coupling_blocks,
     build_system,
     derive_seed,
-    make_rng,
-    place_particles,
 )
 
 DEGENERATE_SENTINEL = float("inf")
@@ -102,13 +99,13 @@ def recurrence_time(system: SpinSystem) -> RecurrenceEstimate:
     Degenerate systems (any zero frequency gap, possible with tied
     uniform-random couplings) get an infinite sentinel instead of an error.
     """
-    g = system.couplings
-    n = g.shape[0]
+    n = system.n_particles
     _check_n(n)
-    # Copies of _BLOCK_ELEMENTS / N rows keep the sorted rows and their
+    # Blocks of _BLOCK_ELEMENTS / N rows keep the sorted rows and their
     # differences small.
     height = max(1, _BLOCK_ELEMENTS // n)
-    return _estimate((g[r0:r0 + height].copy() for r0 in range(0, n, height)), n)
+    rows = _coupling_blocks(system, min(n, height) * n)
+    return _estimate((rows(r0, min(r0 + height, n), 0, n) for r0 in range(0, n, height)), n)
 
 
 def recurrence_stats(
@@ -124,14 +121,7 @@ def recurrence_stats(
     n_degenerate = 0
     for i in range(samples):
         draw = dataclasses.replace(cell, rng_seed=derive_seed(master_seed, i))
-        if cell.coupling_mode == "potential":
-            # The coupling rows come from the positions a block at a time,
-            # so a draw never holds an N x N array.
-            positions = place_particles(draw, make_rng(draw.rng_seed))
-            est = _estimate(_coupling_rows(positions, cell.eta, cell.epsilon),
-                            cell.n_particles)
-        else:
-            est = recurrence_time(build_system(draw))
+        est = recurrence_time(build_system(draw))
         if est.degenerate:
             n_degenerate += 1
         else:

@@ -523,8 +523,6 @@ def builds(monkeypatch):
     calls = []
     for module in (cli, estimation, recurrence):
         monkeypatch.setattr(module, "build_system", lambda *a, **k: calls.append(a))
-    # A potential-mode recurrence draw places its particles without a build.
-    monkeypatch.setattr(recurrence, "place_particles", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(estimation, "_xi", lambda *a, **k: calls.append(a))
     return calls
 
@@ -745,6 +743,30 @@ class TestOptionTable:
         assert result.stdout.splitlines()[0] == "[]"
         assert result.stdout.splitlines()[-1] == "[]"
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_simulate_memory_past_import(self, tmp_path):
+        # A potential-mode system holds no N x N array: simulate at N = 2000
+        # grows the peak RSS over import by far less than the 32 MB one
+        # takes. A child's ru_maxrss starts at its parent's peak, so the
+        # probe reads its own peak, VmHWM. BLAS runs on one thread, so no
+        # per-thread buffer counts.
+        src = str(Path(spindecoh.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        probe = (
+            "import spindecoh.cli as cli\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status"
+            " if line.startswith('VmHWM:'))\n"
+            "before = peak_kib()\n"
+            "assert cli.main(['simulate', '--n', '2000', '--dt', '4', '--tmax', '100',"
+            f" '--with-z', '--with-entropy', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(peak_kib() - before)\n")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=120, check=True)
+        assert int(result.stdout) < 16 * 1024
+
     def test_scipy_uses_pinned(self):
         # Distances, couplings, entropies and the stage-2 scaling fit are
         # computed in numpy: scipy is a test-only dependency.
@@ -785,7 +807,7 @@ class TestPublicSurface:
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
                 assert not hasattr(spindecoh, name), name
         assert "minimizing_pair" not in recurrence.RecurrenceEstimate.__dataclass_fields__
-        assert not {"eta", "epsilon", "dimension"} & set(spindecoh.SpinSystem.__dataclass_fields__)
+        assert "dimension" not in spindecoh.SpinSystem.__dataclass_fields__
         assert not hasattr(spindecoh.Trajectory, "dt")
         assert "entropy" not in spindecoh.Trajectory.__dataclass_fields__
         assert not hasattr(RunConfig, "n_samples")

@@ -12,7 +12,7 @@ from spindecoh.dynamics import (
     particle_entropies,
     sample_trajectory,
 )
-from spindecoh.model import SpinSystem, SystemConfig, build_system
+from spindecoh.model import SpinSystem, SystemConfig, build_couplings, build_system
 from spindecoh import dynamics, oracle
 
 from test_model import make_custom_system
@@ -489,6 +489,34 @@ class TestKernel:
         s = random_system(n, seed=1, amplitude_mode=mode)
         assert traced_peak(lambda: call(s, times)) <= bound
 
+    def test_peak_memory_large_n(self):
+        # A potential-mode system holds no N x N array (128 MB at N = 4000).
+        # Building one and its 26-sample magnitudes holds the output and the
+        # log sums (0.83 MB each), random-complex's per-column factor terms
+        # (1.66 MB), the kernel's per-chunk tables (about 2 MB) and one
+        # block of couplings.
+        cfg = SystemConfig(n_particles=4000, amplitude_mode="random-complex", rng_seed=1)
+        tracemalloc.start()
+        try:
+            coherence_magnitudes(build_system(cfg), 4.0 * np.arange(26))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
+
+    @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
+    @pytest.mark.parametrize("times", [4.0 * np.arange(26), GRID, SCATTERED],
+                             ids=["26-samples", "2001-samples", "scattered"])
+    def test_blocks_from_positions_match_matrix(self, times, mode):
+        # The kernel takes a potential-mode system's blocks from its
+        # positions and a hand-built system's from its matrix: the same
+        # couplings give the same bits.
+        s = build_system(SystemConfig(n_particles=120, dimension=2, eta=0.7, epsilon=1.5,
+                                      amplitude_mode=mode, rng_seed=6))
+        hand = SpinSystem(positions=s.positions, amp_a=s.amp_a, amp_b=s.amp_b,
+                          matrix=build_couplings(s.positions, 0.7, 1.5))
+        assert np.array_equal(coherence_magnitudes(s, times), coherence_magnitudes(hand, times))
+
     @pytest.mark.parametrize("mode", ["equal-superposition", "random-complex"])
     @pytest.mark.parametrize("times", [10.0 + GRID, -GRID, 30.0 - 0.05 * np.arange(1001)],
                              ids=["from-10", "backwards", "from-30-backwards"])
@@ -679,7 +707,7 @@ def assert_jensen_level(system, got):
 
 def permuted(system, perm):
     return SpinSystem(positions=system.positions[perm], amp_a=system.amp_a[perm],
-                      amp_b=system.amp_b[perm], couplings=system.couplings[np.ix_(perm, perm)])
+                      amp_b=system.amp_b[perm], matrix=system.couplings[np.ix_(perm, perm)])
 
 
 @st.composite

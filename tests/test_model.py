@@ -57,7 +57,7 @@ def make_custom_system(couplings, amp_a=None, amp_b=None):
         positions=np.zeros((n, 1)),
         amp_a=np.asarray(amp_a, dtype=complex),
         amp_b=np.asarray(amp_b, dtype=complex),
-        couplings=couplings,
+        matrix=couplings,
     )
 
 
@@ -204,6 +204,32 @@ class TestCouplings:
                                   (2.0, 1.7 / r[off] ** 2.0)):
             assert np.array_equal(build_couplings(pos, 1.7, epsilon)[off], expected)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("epsilon", [1.0, 1.5, 2.0])
+    def test_blocks_match_matrix(self, d, epsilon):
+        # A potential-mode system's blocks carry the bits of the same blocks
+        # of build_couplings: on the diagonal, off it, crossing it as a
+        # strip's first chunk does, and ragged at the last rows and columns.
+        n = 70
+        s = build_system(SystemConfig(n_particles=n, dimension=d, eta=0.7, epsilon=epsilon,
+                                      rng_seed=d))
+        g = build_couplings(s.positions, 0.7, epsilon)
+        block = model._coupling_blocks(s, 32 * 32)
+        spans = [(0, 32), (32, 64), (64, 70), (5, 11), (5, 37)]
+        for r0, r1 in spans:
+            for c0, c1 in spans:
+                got = block(r0, r1, c0, c1)
+                assert got.flags.c_contiguous and got.flags.writeable
+                assert np.array_equal(got, g[r0:r1, c0:c1])
+
+    def test_matrix_blocks_are_copies(self):
+        s = build_system(SystemConfig(n_particles=40, coupling_mode="uniform-random",
+                                      rng_seed=3))
+        block = model._coupling_blocks(s, 40 * 40)(3, 40, 10, 17)
+        assert np.array_equal(block, s.matrix[3:40, 10:17])
+        block[:] = -1.0  # a writable copy: the system keeps its couplings
+        assert s.matrix.min() == 0.0
+
     def test_coincident_particles_rejected(self):
         pos = np.array([[1.0], [1.0]])
         with pytest.raises(ValueError, match="particles 0 and 1"):
@@ -235,10 +261,11 @@ class TestBuildSystem:
             assert np.array_equal(s.couplings, build_couplings(s.positions, 0.7, 1.5))
             assert np.array_equal(s.couplings, _broadcast_couplings(s.positions, 0.7, 1.5))
 
-    @pytest.mark.parametrize("mode, coupling_calls", [("potential", 1), ("uniform-random", 0)])
-    def test_runs_public_build_steps(self, monkeypatch, mode, coupling_calls):
-        # build_system reaches both steps through their module names, so
-        # anything that rebinds them (a tracer, a test double) sees each call.
+    @pytest.mark.parametrize("mode", ["potential", "uniform-random"])
+    def test_runs_public_build_steps(self, monkeypatch, mode):
+        # build_system reaches placement through its module name, so
+        # anything that rebinds it (a tracer, a test double) sees each call.
+        # Neither mode builds a coupling matrix from the positions.
         calls = []
         for name in ("place_particles", "build_couplings"):
             def spy(*args, _name=name, _real=getattr(model, name)):
@@ -246,15 +273,16 @@ class TestBuildSystem:
                 return _real(*args)
             monkeypatch.setattr(model, name, spy)
         build_system(SystemConfig(n_particles=20, coupling_mode=mode, rng_seed=4))
-        assert calls == ["place_particles"] + ["build_couplings"] * coupling_calls
+        assert calls == ["place_particles"]
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_one_square_array_per_system(self, d):
-        # A system holds its couplings as its only N x N float array, and a
-        # recurrence draw holds none, so neither holds more than one at a
-        # time.
+    def test_no_square_array_per_system(self, d):
+        # A potential-mode system holds no N x N array, and a recurrence
+        # draw sorts one block of its rows at a time, so neither comes
+        # near a third of one.
         n = 1000
         cfg = SystemConfig(n_particles=n, dimension=d, rng_seed=d)
+        assert build_system(cfg).matrix is None
         for build in (lambda: build_system(cfg), lambda: recurrence_stats(cfg, 3, 11)):
             tracemalloc.start()
             try:
@@ -262,7 +290,7 @@ class TestBuildSystem:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.25 * 8 * n * n
+            assert peak <= 8 * n * n / 3
 
     def test_equal_superposition_products(self):
         cfg = SystemConfig(n_particles=7, rng_seed=3)
@@ -313,6 +341,8 @@ class TestBuildSystem:
         s = build_system(SystemConfig(n_particles=3, rng_seed=1))
         with pytest.raises(ValueError):
             s.couplings[0, 1] = 5.0
+        with pytest.raises(ValueError):
+            s.positions[0, 0] = 5.0
 
     @pytest.mark.parametrize("dim, rtol", [(1, 1e-9), (2, 1e-12), (3, 1e-12)])
     @pytest.mark.parametrize("epsilon", [1.0, 2.5])
