@@ -22,13 +22,7 @@ import numpy as np
 
 from . import __version__, dynamics
 from ._floatrepr import _repr_bytes
-from .config import (
-    ConfigParseError,
-    ConfigValidationError,
-    RunConfig,
-    config_hash,
-    parse_config,
-)
+from .config import ConfigValidationError, RunConfig, config_hash, parse_config
 from .dynamics import RadicandError, _time_grid, particle_entropies, sample_trajectory
 from .estimation import (_check_plan, fit_decoherence_law, run_ensemble, scaling_cells,
                          sweep_cells)
@@ -221,8 +215,7 @@ def cmd_fit_scaling(cfg: RunConfig, args) -> int:
         [[fit.p, fit.q, fit.r, fit.s, fit.p_stderr, fit.q_stderr,
           fit.r_stderr, fit.s_stderr, fit.a, fit.b, fit.f, fit.g]],
     )
-    report = out / "scaling.txt"
-    report.write_text(
+    report = (
         "decoherence-time law: tau_d = (1/eta) (P / N^Q + R) rho^-S\n"
         f"  P = {fit.p:.6g} +- {fit.p_stderr:.2g}\n"
         f"  Q = {fit.q:.6g} +- {fit.q_stderr:.2g}\n"
@@ -231,7 +224,8 @@ def cmd_fit_scaling(cfg: RunConfig, args) -> int:
         f"mean level <Xi>(N) = A exp(-B N): A = {fit.a}, B = {fit.b}\n"
         f"fluctuation level sigma(N) = F exp(-G N): F = {fit.f}, G = {fit.g}\n"
     )
-    print(report.read_text(), end="")
+    (out / "scaling.txt").write_text(report)
+    print(report, end="")
     return EXIT_OK
 
 
@@ -312,7 +306,7 @@ def main(argv=None) -> int:
     except (RadicandError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigParseError, ConfigValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # config errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -13,6 +13,10 @@ callers take the couplings a block at a time (`_coupling_blocks`), each
 block made from the positions by one element code (`_coupling_block`)
 into a buffer of the caller's. Uniform-random and hand-built systems hold
 their (N, N) matrix.
+
+Couplings are checked where they are made: computed blocks by the element
+code (SingularCouplingError), given shapes and matrices by `SpinSystem` at
+construction (ValueError). Every consumer ignores the diagonal.
 """
 
 from __future__ import annotations
@@ -133,22 +137,33 @@ class SpinSystem:
     With no `matrix` the couplings are g_ij = eta / r_ij**epsilon of the
     positions (potential mode), and the system holds no (N, N) array:
     callers take blocks of them (`_coupling_blocks`). Uniform-random and
-    hand-built systems hold theirs as `matrix`; a hand-built system's
-    positions may be dummies. `couplings` is the full (N, N) matrix either
-    way, built on each access in potential mode.
+    hand-built systems hold theirs as `matrix`, whose diagonal every
+    consumer ignores; a hand-built system's positions may be dummies.
+    `couplings` is the full (N, N) matrix either way, built on each access
+    in potential mode.
 
-    Immutable after construction (arrays are marked read-only), so instances
-    are safe to share across threads.
+    Construction checks N position rows, N amp_b entries and a finite,
+    exactly symmetric (N, N) matrix, else ValueError. Immutable after
+    construction (arrays are marked read-only), so instances are safe to
+    share across threads.
     """
 
     positions: np.ndarray      # (N, D)
     amp_a: np.ndarray          # (N,) complex
     amp_b: np.ndarray          # (N,) complex
-    matrix: np.ndarray | None = None  # (N, N) symmetric, zero diagonal
+    matrix: np.ndarray | None = None  # (N, N) finite, symmetric
     eta: float = 1.0
     epsilon: float = 1.0
 
     def __post_init__(self):
+        n, g = self.n_particles, self.matrix
+        if len(self.positions) != n or self.amp_b.shape != (n,):
+            raise ValueError(f"positions and amp_b must have N = {n} rows, got "
+                             f"{len(self.positions)} and {self.amp_b.shape}")
+        if g is not None and not (g.shape == (n, n) and np.all(np.isfinite(g))
+                                  and np.array_equal(g, g.T)):
+            raise ValueError(f"matrix must be finite, symmetric and ({n}, {n}), "
+                             f"got shape {g.shape}")
         for arr in (self.positions, self.amp_a, self.amp_b, self.matrix):
             if arr is not None:
                 arr.setflags(write=False)
@@ -242,9 +257,10 @@ def _coupling_block(coords: np.ndarray, eta: float, epsilon: float,
     r is a difference per dimension, squared and summed in dimension
     order, then sqrt, and (x_i - x_j)^2 = (x_j - x_i)^2, so every block
     carries the bits of the same block of one exactly symmetric matrix.
-    r_ii = inf makes g_ii = eta / inf = 0, so a block of particles that
-    lie apart raises no floating-point error; two that coincide divide
-    by zero."""
+    r_ii = inf makes g_ii = eta / inf = 0. A block with a coupling that is
+    not finite (two particles that coincide) raises SingularCouplingError,
+    naming its first such pair in row order, and no floating-point
+    warning."""
     g = buf[0, :(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
     diff = buf[1, :g.size].reshape(g.shape)
     for k, x in enumerate(coords):
@@ -257,10 +273,16 @@ def _coupling_block(coords: np.ndarray, eta: float, epsilon: float,
     if lo < hi:
         np.fill_diagonal(g[lo - r0:, lo - c0:], np.inf)
     np.sqrt(g, out=g)
-    if epsilon != 1:  # x**1 == x, so the pass would change no bit
-        with np.errstate(over="ignore"):  # a far pair's coupling rounds to 0
+    # A far pair's power may overflow to a zero coupling; a fault fails the check.
+    with np.errstate(all="ignore"):
+        if epsilon != 1:  # x**1 == x, so the pass would change no bit
             g **= epsilon
-    return np.divide(eta, g, out=g)
+        np.divide(eta, g, out=g)
+    if not np.isfinite(g.max()):
+        i, j = divmod(int(np.argmin(np.isfinite(g))), g.shape[1])
+        raise SingularCouplingError(f"coupling eta / r^epsilon is not finite for particles "
+                                    f"{r0 + i} and {c0 + j}, epsilon = {epsilon}")
+    return g
 
 
 def _coupling_blocks(system: SpinSystem, size: int) -> Callable[[int, int, int, int], np.ndarray]:
@@ -297,12 +319,7 @@ def build_couplings(positions: np.ndarray, eta: float, epsilon: float) -> np.nda
     g = np.empty((n, n))
     for r0 in range(0, n, height):
         r1 = min(r0 + height, n)
-        with np.errstate(divide="ignore", over="ignore"):
-            g[r0:r1] = rows = _coupling_block(coords, eta, epsilon, r0, r1, 0, n, buf)
-        if not np.all(np.isfinite(rows)):
-            i, j = divmod(int(np.argmin(np.isfinite(rows))), n)
-            raise SingularCouplingError(f"coupling eta / r^epsilon is not finite for "
-                                        f"particles {r0 + i} and {j}, epsilon = {epsilon}")
+        g[r0:r1] = _coupling_block(coords, eta, epsilon, r0, r1, 0, n, buf)
     return g
 
 

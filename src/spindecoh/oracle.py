@@ -64,7 +64,8 @@ def _basis(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
     _check_cap(n)
     signs = _spin_signs(n)
     half = signs[:2 ** (n - 1)]
-    # g_ii = 0, so the per-configuration energy is 0.5 * s^T G s.
+    # The energy is 0.5 s^T G s; a diagonal adds the same 0.5 tr G to every
+    # state, a global phase that no reduced density matrix sees.
     rates = -1j * (0.5 * ((half @ system.couplings) * half).sum(axis=1))
     psi0 = np.where(signs > 0, system.amp_a, system.amp_b).prod(axis=1)
     return rates, psi0

@@ -6,10 +6,9 @@ particle's couplings; the recurrence time of the whole signal is
 resulting distribution is extremely heavy-tailed, ensemble summaries
 carry the median and the log10 mean alongside mean and std.
 
-One loop (`_estimate`) sorts the coupling rows a block at a time and takes
-their gaps. `recurrence_time` feeds it a system's row blocks
-(`_coupling_blocks`), so a potential-mode draw holds its positions and one
-row block, never an N x N array.
+`recurrence_time` sorts a system's coupling rows a block at a time
+(`_coupling_blocks`) and takes their gaps, so a potential-mode draw holds
+its positions and one row block, never an N x N array.
 """
 
 from __future__ import annotations
@@ -67,24 +66,6 @@ def _check_recurrence_plan(cells: list[SystemConfig], samples: int) -> None:
         _check_n(cell.n_particles)
 
 
-def _estimate(blocks, n: int) -> RecurrenceEstimate:
-    """Recurrence estimate from the coupling rows of an N-particle system,
-    given in order as writable row blocks, which are sorted in place."""
-    # Couplings are >= 0 and the diagonal is 0, so each sorted row starts
-    # with its diagonal zero; the gaps are taken between the rest.
-    freqs = np.empty(n)
-    r0 = 0
-    for rows in blocks:
-        rows.sort(axis=1)
-        np.diff(rows[:, 1:], axis=1).min(axis=1, out=freqs[r0:r0 + len(rows)])
-        r0 += len(rows)
-    freqs *= 2.0
-    min_gap = float(np.diff(np.sort(freqs)).min())
-    degenerate = bool(min_gap == 0.0 or np.any(freqs == 0.0))
-    period = DEGENERATE_SENTINEL if degenerate else 2.0 * np.pi / min_gap
-    return RecurrenceEstimate(period=period, frequencies=freqs, degenerate=degenerate)
-
-
 def _median(values: np.ndarray) -> float:
     """np.median of NaN-free values, without its NaN check (which imports
     numpy.ma): the middle sorted value, or the mean of the middle two."""
@@ -104,13 +85,24 @@ def recurrence_time(system: SpinSystem) -> RecurrenceEstimate:
     # Blocks of _BLOCK_ELEMENTS / N rows keep the sorted rows and their
     # differences small.
     height = max(1, _BLOCK_ELEMENTS // n)
-    rows = _coupling_blocks(system, min(n, height) * n)
-    return _estimate((rows(r0, min(r0 + height, n), 0, n) for r0 in range(0, n, height)), n)
+    block = _coupling_blocks(system, min(n, height) * n)
+    freqs = np.empty(n)
+    for r0 in range(0, n, height):
+        r1 = min(r0 + height, n)
+        rows = block(r0, r1, 0, n)
+        # Each row's own entry sorts last, so the gaps are those of its
+        # other N - 1 couplings, of either sign.
+        np.fill_diagonal(rows[:, r0:], np.inf)
+        rows.sort(axis=1)
+        np.diff(rows[:, :-1], axis=1).min(axis=1, out=freqs[r0:r1])
+    freqs *= 2.0
+    min_gap = float(np.diff(np.sort(freqs)).min())
+    degenerate = bool(min_gap == 0.0 or np.any(freqs == 0.0))
+    period = DEGENERATE_SENTINEL if degenerate else 2.0 * np.pi / min_gap
+    return RecurrenceEstimate(period=period, frequencies=freqs, degenerate=degenerate)
 
 
-def recurrence_stats(
-    cell: SystemConfig, samples: int, master_seed: int
-) -> RecurrenceStats:
+def recurrence_stats(cell: SystemConfig, samples: int, master_seed: int) -> RecurrenceStats:
     """Recurrence-time statistics over independent random configurations.
 
     Degenerate draws are excluded from the numeric summaries and reported
@@ -118,13 +110,10 @@ def recurrence_stats(
     """
     _check_recurrence_plan([cell], samples)
     periods = []
-    n_degenerate = 0
     for i in range(samples):
         draw = dataclasses.replace(cell, rng_seed=derive_seed(master_seed, i))
         est = recurrence_time(build_system(draw))
-        if est.degenerate:
-            n_degenerate += 1
-        else:
+        if not est.degenerate:
             periods.append(est.period)
     arr = np.array(periods)
     if arr.size == 0:
@@ -134,12 +123,6 @@ def recurrence_stats(
         std = float(arr.std())
         median = float(_median(arr))
         log10_mean = float(np.log10(arr).mean())
-    return RecurrenceStats(
-        config=cell,
-        samples=samples,
-        mean=mean,
-        std=std,
-        median=median,
-        log10_mean=log10_mean,
-        degenerate_fraction=n_degenerate / samples,
-    )
+    return RecurrenceStats(config=cell, samples=samples, mean=mean, std=std, median=median,
+                           log10_mean=log10_mean,
+                           degenerate_fraction=(samples - arr.size) / samples)

@@ -1,13 +1,15 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from spindecoh import model
+from spindecoh import dynamics, model, oracle
 from spindecoh.model import (
     PlacementError,
+    SingularCouplingError,
     SpinSystem,
     SystemConfig,
     box_side,
@@ -17,7 +19,7 @@ from spindecoh.model import (
     make_rng,
     place_particles,
 )
-from spindecoh.recurrence import recurrence_stats
+from spindecoh.recurrence import recurrence_stats, recurrence_time
 
 
 def _sequential_placement(config, rng):
@@ -235,6 +237,25 @@ class TestCouplings:
         with pytest.raises(ValueError, match="particles 0 and 1"):
             build_couplings(pos, eta=1.0, epsilon=1.0)
 
+    @pytest.mark.parametrize("epsilon", [1.0, 2.0])
+    def test_coincident_particles_rejected_by_every_consumer(self, epsilon):
+        # Particles 1 and 2 of a hand-built potential-mode system coincide:
+        # every consumer of its couplings raises the element code's error,
+        # naming the pair, and no numpy warning.
+        amp = np.full(4, 1 / np.sqrt(2), dtype=complex)
+        s = SpinSystem(positions=np.array([[0.0, 0.0], [1.0, 0.5], [1.0, 0.5], [2.0, 3.0]]),
+                       amp_a=amp, amp_b=amp.copy(), epsilon=epsilon)
+        times = np.array([0.0, 0.5, 1.5])
+        consumers = [lambda: dynamics.coherence_magnitudes(s, times),
+                     lambda: dynamics._xi(s, times), lambda: recurrence_time(s),
+                     lambda: build_couplings(s.positions, s.eta, epsilon),
+                     lambda: s.couplings, lambda: oracle.compare(s, times)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for consume in consumers:
+                with pytest.raises(SingularCouplingError, match="particles 1 and 2,"):
+                    consume()
+
     def test_exact_symmetry(self):
         cfg = SystemConfig(n_particles=40, dimension=3, density=1.0, rng_seed=13)
         g = build_system(cfg).couplings
@@ -359,6 +380,45 @@ class TestBuildSystem:
                                epsilon=epsilon, rng_seed=5)
             ratio = build_system(cfg).couplings[off] / base / rho ** (epsilon / dim)
             assert np.abs(ratio - 1.0).max() <= rtol
+
+
+class TestGivenInput:
+    """SpinSystem checks the shapes and the matrix it is given, once, at
+    construction, with a one-line ValueError."""
+
+    @staticmethod
+    def parts(n=4):
+        g = np.arange(n * n, dtype=float).reshape(n, n)
+        amp = np.full(n, 1 / np.sqrt(2), dtype=complex)
+        return dict(positions=np.zeros((n, 1)), amp_a=amp, amp_b=amp.copy(), matrix=g + g.T)
+
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param(bad, message, id=bad) for bad, message in [
+            ("nan pair", r"matrix must be finite, symmetric and \(4, 4\), got shape \(4, 4\)"),
+            ("inf diagonal", "matrix must be finite, symmetric"),
+            ("asymmetric", "matrix must be finite, symmetric"),
+            ("matrix N + 1", r"matrix must be .* \(4, 4\), got shape \(5, 5\)"),
+            ("positions N + 1", r"positions and amp_b must have N = 4 rows, got 5 and \(4,\)"),
+            ("amp_b N + 1", r"positions and amp_b must have N = 4 rows, got 4 and \(5,\)"),
+        ]])
+    def test_rejects(self, bad, message):
+        parts = self.parts()
+        g = parts["matrix"]
+        if bad == "nan pair":
+            g[0, 1] = g[1, 0] = np.nan
+        elif bad == "inf diagonal":
+            g[2, 2] = np.inf
+        elif bad == "asymmetric":
+            g[0, 3] += 0.5
+        elif bad == "matrix N + 1":
+            parts["matrix"] = self.parts(5)["matrix"]
+        elif bad == "positions N + 1":
+            parts["positions"] = np.zeros((5, 1))
+        else:
+            parts["amp_b"] = np.full(5, 1 / np.sqrt(2), dtype=complex)
+        with pytest.raises(ValueError, match=message) as info:
+            SpinSystem(**parts)
+        assert "\n" not in str(info.value)
 
 
 class TestSeeds:

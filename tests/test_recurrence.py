@@ -1,8 +1,10 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spindecoh import model, recurrence
 from spindecoh.model import SystemConfig, build_system, derive_seed
@@ -69,6 +71,19 @@ class TestParticleFrequency:
         freqs = recurrence_time(s).frequencies
         whole = 2.0 * np.diff(np.sort(s.couplings, axis=1)[:, 1:], axis=1).min(axis=1)
         assert np.array_equal(freqs, whole)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(3, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_gaps_among_other_couplings_of_either_sign(self, n, height, seed):
+        # Symmetric couplings of either sign with a nonzero diagonal, sorted
+        # `height` rows at a time: each frequency is twice its row's
+        # smallest gap among the other N - 1 couplings.
+        a = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+        g = a + a.T
+        with mock.patch.object(recurrence, "_BLOCK_ELEMENTS", min(height, n) * n):
+            freqs = recurrence_time(make_custom_system(g)).frequencies
+        for l in range(n):
+            assert freqs[l] == 2.0 * np.diff(np.sort(np.delete(g[l], l))).min()
 
     def test_needs_three_particles(self):
         s = build_system(SystemConfig(n_particles=2, rng_seed=1))
