@@ -169,7 +169,9 @@ def _kernel_geometry(n: int, n_starts: int, k: int) -> tuple[int, int, int]:
 
 def _factor_terms(system: SpinSystem) -> tuple[np.ndarray, np.ndarray, bool]:
     """(scale, floor, unit) with |factor_lk|^2 = scale_k cos^2 + floor_k;
-    unit when every particle has p = q = 1/2, so that |factor|^2 = cos^2."""
+    unit when every particle has p = q = 1/2, so that |factor|^2 = cos^2.
+    p + q is renormalised to 1, else equal superposition's |1/sqrt(2)|^2 =
+    0.4999999999999999 gives 4 p q = 0.9999999999999996 and loses unit."""
     p, q = np.abs(system.amp_a) ** 2, np.abs(system.amp_b) ** 2
     p, q = p / (p + q), q / (p + q)
     scale = 4.0 * p * q

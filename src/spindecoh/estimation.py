@@ -259,9 +259,8 @@ def fit_decay(
                     fit_hi=min(float(fit_window[1]), float(trajectory.times[-1])))
 
 
-def _check_plan(cells: list[SystemConfig], u, dt, t_max, t1, t2, fit_window) -> None:
-    """Check ensembles of u members over `cells` before any member runs:
-    u >= 1, the time grid of the largest cell, and the windows on it."""
+def _check_plan(cells: list[SystemConfig], u, dt, t_max, t1, t2, fit_window) -> np.ndarray:
+    """Check u >= 1 and the largest cell's grid and windows before members run; return the grid."""
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
     times = _time_grid(dt, t_max, max(cell.n_particles for cell in cells))
@@ -269,11 +268,13 @@ def _check_plan(cells: list[SystemConfig], u, dt, t_max, t1, t2, fit_window) -> 
     # 3 samples it holds: if it holds fewer, every member's fit would fail.
     largest_fit = (0.0, AUTO_WINDOW_CAP) if fit_window is None else fit_window
     _check_windows(times, average=(t1, t2), fit=largest_fit)
+    return times
 
 
 def _pass_one(times: np.ndarray, t1: float, t2: float) -> np.ndarray:
-    """The samples a member evaluates first: t = 0, the tail that gives c0,
-    and the averaging window with the neighbours its ends interpolate."""
+    """Pass 1 of every member: t = 0, the tail that gives c0, and the averaging
+    window with the neighbours its ends interpolate. Pass 2 (`_single_run`)
+    takes the samples the fit reads that pass 1 skipped."""
     need = np.zeros(times.size, dtype=bool)
     need[0] = True
     need[-_tail_size(times.size):] = True
@@ -284,36 +285,22 @@ def _pass_one(times: np.ndarray, t1: float, t2: float) -> np.ndarray:
     return need
 
 
-def _fit_reads_evaluated(trajectory: Trajectory, fit_window) -> bool:
-    """Whether fit_decay reads only evaluated (non-NaN) samples: those its
-    search for tau0 reads, and those of its fit window."""
-    _, _, read, _, mask = _fit_setup(trajectory, fit_window)
-    return not (np.isnan(trajectory.xi[:read]).any() or np.isnan(trajectory.xi[mask]).any())
-
-
-def _single_run(
-    cell: SystemConfig,
-    index: int,
-    master_seed: int,
-    dt: float,
-    t_max: float,
-    t1: float,
-    t2: float,
-    fit_window: tuple[float, float] | None,
-) -> RunRecord:
-    """One member: its fit and average from the samples they read, the same
-    bits as from its whole sampled trajectory. Pass 1 evaluates the samples
-    _pass_one marks (the kernel adds the rest of their start chunks, NaN
-    elsewhere); pass 2 evaluates the skipped ones only if the fit would read
-    one of them."""
+def _single_run(cell: SystemConfig, index: int, master_seed: int, times: np.ndarray,
+                need: np.ndarray, t1: float, t2: float,
+                fit_window: tuple[float, float] | None) -> RunRecord:
+    """One member: its fit and average, the same bits as from its whole
+    sampled trajectory. Pass 1 evaluates `need` (`_pass_one`; the kernel adds
+    the rest of their start chunks, NaN elsewhere). Pass 2 evaluates the samples
+    the fit reads that pass 1 skipped: the window and first `read` samples of
+    `_fit_setup` on pass 1's Xi, which filling can only shrink (c0 is the tail's)."""
     seed = derive_seed(master_seed, index)
     system = build_system(dataclasses.replace(cell, rng_seed=seed))
-    times = _time_grid(dt, t_max, system.n_particles)
-    xi = _xi(system, times, _pass_one(times, t1, t2))
-    if not _fit_reads_evaluated(Trajectory(times, xi), fit_window):
-        skipped = np.isnan(xi)
-        xi[skipped] = _xi(system, times, skipped)[skipped]
-    traj = Trajectory(times, xi)
+    traj = Trajectory(times, _xi(system, times, need))
+    _, _, read, _, reads = _fit_setup(traj, fit_window)
+    reads[:read] = True
+    skipped = reads & np.isnan(traj.xi)
+    if skipped.any():
+        traj.xi[skipped] = _xi(system, times, skipped)[skipped]
     return RunRecord(index=index, seed=seed, fit=fit_decay(traj, fit_window=fit_window),
                      xi_avg=time_average(traj, t1, t2))
 
@@ -335,12 +322,13 @@ def run_ensemble(
     deterministic and independent of the thread count. u, the time grid,
     the windows and threads >= 1 are checked before any member runs.
     """
-    _check_plan([cell], u, dt, t_max, t1, t2, fit_window)
+    times = _check_plan([cell], u, dt, t_max, t1, t2, fit_window)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    need = _pass_one(times, t1, t2)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         runs = list(pool.map(
-            lambda i: _single_run(cell, i, master_seed, dt, t_max, t1, t2, fit_window),
+            lambda i: _single_run(cell, i, master_seed, times, need, t1, t2, fit_window),
             range(u),
         ))
     bad = [rec for rec in runs if not rec.fit.converged]

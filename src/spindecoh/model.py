@@ -46,6 +46,8 @@ MAX_PLACEMENT_ATTEMPTS = 1000
 # kernel's temporaries (time blocks x offsets x rows x N). 64K float64
 # values keep a block's working set inside L2.
 _BLOCK_ELEMENTS = 65_536
+# Bound on ||a_k|^2 + |b_k|^2 - 1|: 14 particles stay in the oracle's 1e-10 norm check.
+_NORM_TOL = 1e-12
 
 
 class PlacementError(RuntimeError):
@@ -142,8 +144,9 @@ class SpinSystem:
     `couplings` is the full (N, N) matrix either way, built on each access
     in potential mode.
 
-    Construction checks N position rows, N amp_b entries and a finite,
-    exactly symmetric (N, N) matrix, else ValueError. Immutable after
+    Construction checks N position rows, a finite, exactly symmetric (N, N)
+    matrix and amplitudes of shape (N,) with |a_k|^2 + |b_k|^2 = 1 within
+    _NORM_TOL = 1e-12, else ValueError. Immutable after
     construction (arrays are marked read-only), so instances are safe to
     share across threads.
     """
@@ -164,6 +167,14 @@ class SpinSystem:
                                   and np.array_equal(g, g.T)):
             raise ValueError(f"matrix must be finite, symmetric and ({n}, {n}), "
                              f"got shape {g.shape}")
+        if self.amp_a.ndim != 1:
+            raise ValueError(f"amp_a must have shape ({n},), got {self.amp_a.shape}")
+        with np.errstate(over="ignore"):  # inf fails the test below, as NaN does
+            bad = ~(np.abs(np.abs(self.amp_a) ** 2 + np.abs(self.amp_b) ** 2 - 1) <= _NORM_TOL)
+        if bad.any():
+            k = bad.argmax()
+            raise ValueError(f"particle {k}: |a|^2 + |b|^2 must be 1 within {_NORM_TOL}, "
+                             f"got a = {self.amp_a[k]}, b = {self.amp_b[k]}")
         for arr in (self.positions, self.amp_a, self.amp_b, self.matrix):
             if arr is not None:
                 arr.setflags(write=False)

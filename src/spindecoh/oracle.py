@@ -138,7 +138,6 @@ def compare(system: SpinSystem, times) -> tuple[np.ndarray, np.ndarray, np.ndarr
     raises ValueError, as `reduce_particle` does.
     """
     rates, psi0 = _basis(system)
-    _norm_deviation(psi0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     z_abs = coherence_magnitudes(system, times)
     s_analytic = particle_entropies(system, z_abs)

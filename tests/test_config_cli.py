@@ -529,8 +529,8 @@ def builds(monkeypatch):
 
 class TestPlanCheckedBeforeBuild:
     @pytest.mark.parametrize("argv, lines, message", [
-        # 2001 samples x 30000 particles; the square distance matrix alone
-        # would take 7.2 GB.
+        # 2001 samples x 30000 particles; the (T, N) result and the kernel's
+        # (N, C) log sums would take 480 MB each.
         (["simulate", "--n", "30000"], "", "exceeds the element cap"),
         (["oracle-check", "--n", "100000"], "", "exceeds the brute-force cap 14"),
         # The second cell breaks the cap: the first must not run either.

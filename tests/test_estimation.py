@@ -306,12 +306,33 @@ class TestMemberPasses:
         assert len(calls) == 2 * passes
         assert stats.runs == whole_trajectory_records(cell, 2, 7, **window)
 
+    def test_second_pass_evaluates_only_what_the_fit_reads(self, monkeypatch):
+        # The kernel evaluates runs of 270 samples (6 start chunks of 45).
+        # Pass 1 holds t in [0, 13.45] and [40.5, 100]; the fit window (0, 20)
+        # reaches into the next run only, so pass 2 evaluates 270 samples,
+        # not all 540 that pass 1 skipped.
+        evaluated = []
+
+        def counted(*args):
+            xi = member_xi(*args)
+            evaluated.append(np.count_nonzero(~np.isnan(xi)))
+            return xi
+
+        member_xi = estimation._xi
+        monkeypatch.setattr(estimation, "_xi", counted)
+        window = dict(fit_window=(0.0, 20.0))
+        stats = run_ensemble(SystemConfig(50), 2, master_seed=7, **window)
+        assert evaluated[1] == 270
+        assert stats.runs == whole_trajectory_records(SystemConfig(50), 2, 7, **window)
+
     def test_member_peak_memory(self):
         # A member holds the log sums of the start chunks it evaluates and one
         # (B, N) block of magnitudes, never a (T, N) array (8 N T bytes).
         n, samples = 200, 2001
+        times = 0.05 * np.arange(samples)
+        need = estimation._pass_one(times, 50.0, 100.0)
         peak = traced_peak(lambda: estimation._single_run(
-            SystemConfig(n), 0, 7, 0.05, 100.0, 50.0, 100.0, None))
+            SystemConfig(n), 0, 7, times, need, 50.0, 100.0, None))
         assert peak <= 1.3 * 8 * n * samples
 
 

@@ -420,6 +420,24 @@ class TestGivenInput:
             SpinSystem(**parts)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("particle, scale_a, scale_b", [(1, 0.0, 0.0), (0, 2.0, 1.0)],
+                             ids=["a1-b1-zero", "a0-doubled"])
+    def test_rejects_unnormalised_amplitudes(self, particle, scale_a, scale_b):
+        # Unchecked, a = b = 0 would make every other |z| NaN (0 / 0 in the
+        # kernel's renormalisation), and a doubled a_0 would give |z_0(0)| =
+        # 1, a RadicandError in the entropies and an unnormalised oracle state.
+        amp = np.full(4, 1 / np.sqrt(2), dtype=complex)
+        a, b = amp.copy(), amp.copy()
+        a[particle] *= scale_a
+        b[particle] *= scale_b
+        positions = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0], [2.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^particle {particle}: \|a\|\^2 \+ \|b\|\^2 "
+                                                 r"must be 1 within 1e-12, got ") as info:
+                SpinSystem(positions=positions, amp_a=a, amp_b=b)
+        assert "\n" not in str(info.value)
+
 
 class TestSeeds:
     def test_derive_seed_deterministic(self):

@@ -214,20 +214,20 @@ class TestMutualInformation:
 
     def test_purity_check(self):
         s = random_system(3, seed=10)
-        # Shrinking a keeps every eigenvalue radicand in [0, 1], so the
-        # state-norm check is what fails.
-        bad = make_custom_system(s.couplings, amp_a=s.amp_a * 0.999, amp_b=s.amp_b)
-        with pytest.raises(ValueError, match="not normalized"):
-            compare(bad, [1.0])
+        # Shrinking a keeps every eigenvalue radicand in [0, 1]; the system
+        # is rejected where it is built, so no unnormalised state reaches
+        # compare.
+        with pytest.raises(ValueError, match=r"^particle 0: \|a\|\^2 \+ \|b\|\^2 must be 1"):
+            make_custom_system(s.couplings, amp_a=s.amp_a * 0.999, amp_b=s.amp_b)
 
     def test_norm_checked_before_closed_form(self):
         # Growing a pushes |a|^2 |b|^2 past what the closed-form radicand
-        # allows; the norm check must fail first. RadicandError is itself a
-        # ValueError, so the message tells the two apart.
+        # allows; construction rejects it before any closed form runs.
+        # RadicandError is itself a ValueError, so the message tells the two
+        # apart.
         s = random_system(3, seed=10)
-        bad = make_custom_system(s.couplings, amp_a=s.amp_a * 1.001, amp_b=s.amp_b)
-        with pytest.raises(ValueError, match="state not normalized"):
-            compare(bad, [1.0])
+        with pytest.raises(ValueError, match=r"^particle 0: \|a\|\^2 \+ \|b\|\^2 must be 1"):
+            make_custom_system(s.couplings, amp_a=s.amp_a * 1.001, amp_b=s.amp_b)
 
 
 # Grids for small kernel budgets: uniform ones in blocks of K = 8 (several
